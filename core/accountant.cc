@@ -5,6 +5,7 @@
 #include "core/accounting.h"
 #include "core/status.h"
 #include "dp/amplification.h"
+#include "graph/spectral.h"
 
 namespace netshuffle {
 
@@ -42,10 +43,17 @@ AccountingContext FixedMassContext(size_t n, double epsilon0,
 }
 
 PrivacyParams StationaryBoundAccountant::Certify(const AccountingContext& ctx) {
-  if (ctx.rounds == 0) return PrivacyParams{kInf, ctx.delta + ctx.delta2};
-  const NetworkShufflingBoundInput in = BoundInput(
+  // The spectral gap this bound prices is certified except with probability
+  // kSpectralFailureProbability (graph/spectral.h); that failure is paid
+  // from delta2, so the reported total stays delta + delta2.
+  const double concentration_delta2 = ctx.delta2 - kSpectralFailureProbability;
+  if (ctx.rounds == 0 || !(concentration_delta2 > 0.0)) {
+    return PrivacyParams{kInf, ctx.delta + ctx.delta2};
+  }
+  NetworkShufflingBoundInput in = BoundInput(
       ctx, SumSquaresBound(ctx.stationary_sum_squares, ctx.spectral_gap,
                            ctx.rounds));
+  in.delta2 = concentration_delta2;
   const double eps = ctx.protocol == ReportingProtocol::kSingle
                          ? EpsilonSingle(in)
                          : EpsilonAllStationary(in);

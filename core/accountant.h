@@ -102,6 +102,10 @@ class Accountant {
 /// Theorem 5.3 (kAll) / 5.5 (kSingle) at the Eq.-7 collision-mass bound
 /// sum pi^2 + (1 - alpha)^{2t}.  Graph-free: a query with spectral_gap = 1
 /// evaluates the pure stationary limit at any supplied collision mass.
+/// Because alpha is a certified bound that can fail with probability
+/// kSpectralFailureProbability (graph/spectral.h), the concentration step
+/// spends delta2 minus that constant; the reported delta is still
+/// delta + delta2, and delta2 at or below the constant certifies nothing.
 class StationaryBoundAccountant : public Accountant {
  public:
   const char* name() const override { return "stationary_bound"; }

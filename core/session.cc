@@ -28,6 +28,11 @@ bool ValidSlack(double d) { return std::isfinite(d) && d > 0.0 && d < 1.0; }
 }  // namespace
 
 Status Session::Validate(const SessionConfig& config) {
+  return ValidateWith(config, nullptr);
+}
+
+Status Session::ValidateWith(const SessionConfig& config,
+                             SpectralGapEstimate* estimate) {
   if (config.graph().num_nodes() == 0) {
     return Status::Error(StatusCode::kEmptyGraph,
                          "the communication graph has zero users");
@@ -38,11 +43,16 @@ Status Session::Validate(const SessionConfig& config) {
                              std::to_string(config.epsilon0()) + ")");
   }
   if (!ValidSlack(config.delta()) || !ValidSlack(config.delta2()) ||
-      config.delta() + config.delta2() >= 1.0) {
+      config.delta() + config.delta2() >= 1.0 ||
+      config.delta2() <= kSpectralFailureProbability) {
+    // delta2 also pays the spectral estimate's failure probability
+    // (graph/spectral.h), so it must exceed that constant.
     return Status::Error(
         StatusCode::kInvalidDelta,
         "delta and delta2 must each lie in (0, 1) with delta + delta2 < 1 "
-        "(got delta=" + std::to_string(config.delta()) +
+        "and delta2 > the spectral failure probability " +
+            std::to_string(kSpectralFailureProbability) +
+            " (got delta=" + std::to_string(config.delta()) +
             ", delta2=" + std::to_string(config.delta2()) + ")");
   }
   if (!config.allow_non_ergodic()) {
@@ -79,11 +89,24 @@ Status Session::Validate(const SessionConfig& config) {
             std::to_string(config.shards()) +
             " shards with mmap-backed columns); shard or spill, not both");
   }
-  if (config.require_mixed_rounds() && config.rounds() > 0) {
-    // Costs a spectral estimate that Create's constructor repeats; the
-    // duplication is confined to this opt-in check.
-    const double gap = EstimateSpectralGap(config.graph()).gap;
-    const size_t floor = MixingTime(gap, config.graph().num_nodes());
+  const bool floor_check =
+      config.require_mixed_rounds() && config.rounds() > 0;
+  if (estimate == nullptr && !floor_check) return Status::Ok();
+  const SpectralGapEstimate spectral = EstimateSpectralGap(config.graph());
+  if (!config.allow_non_ergodic() && spectral.lambda_upper >= 1.0) {
+    // Connected and non-bipartite, so the true gap is positive, but the
+    // capped estimate certified none of it: fail closed rather than price
+    // the walk at MixingTime's round cap.
+    return Status::Error(
+        StatusCode::kSpectralGapUncertified,
+        "the spectral estimate certified no gap in " +
+            std::to_string(spectral.iterations) +
+            " Lanczos steps (Ritz lambda " +
+            std::to_string(spectral.lambda) + ")");
+  }
+  if (floor_check) {
+    const size_t floor =
+        MixingTime(spectral.gap, config.graph().num_nodes());
     if (config.rounds() < floor) {
       return Status::Error(
           StatusCode::kRoundsBelowMixingFloor,
@@ -92,6 +115,7 @@ Status Session::Validate(const SessionConfig& config) {
               std::to_string(floor));
     }
   }
+  if (estimate != nullptr) *estimate = spectral;
   return Status::Ok();
 }
 
@@ -102,7 +126,8 @@ Expected<Session> Session::Create(SessionConfig config) {
   // with (standalone Validate calls see only the explicit configuration).
   if (!config.shards_set()) config.SetShards(EnvShardCount());
   if (!config.transport_set()) config.SetTransport(EnvTransportKind());
-  Status status = Validate(config);
+  SpectralGapEstimate spectral;
+  Status status = ValidateWith(config, &spectral);
   if (!status.ok()) return status;
 
   // Storage resolution (DESIGN.md §9).  Three cases:
@@ -143,10 +168,11 @@ Expected<Session> Session::Create(SessionConfig config) {
     if (!sealed.ok()) return sealed;
     config.SetPayloads(std::move(arena));
   }
-  return Session(std::move(config), std::move(backend));
+  return Session(std::move(config), std::move(backend), spectral);
 }
 
-Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend)
+Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
+                 const SpectralGapEstimate& spectral)
     : graph_(config.ReleaseGraph()),
       protocol_(config.protocol()),
       epsilon0_(config.epsilon0()),
@@ -165,6 +191,7 @@ Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend)
       // graph_ is initialized (and config's graph moved out) above, so the
       // cached population reads the adopted member.
       num_users_(graph_.num_nodes()),
+      spectral_(spectral),
       epoch_seed_(config.seed()),
       sync_(std::make_unique<Sync>()) {
   if (accountant_ == nullptr) {
@@ -181,9 +208,8 @@ Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend)
   // walk state keyed on another session's graph address; invalidate
   // defensively.
   accountant_->OnTopologyChanged();
-  gap_ = EstimateSpectralGap(graph_).gap;
   stationary_sum_squares_ = StationarySumSquares(graph_);
-  mixing_rounds_ = MixingTime(gap_, graph_.num_nodes());
+  mixing_rounds_ = MixingTime(spectral_.gap, graph_.num_nodes());
   rounds_fixed_ = config.rounds() > 0;
   target_rounds_ = rounds_fixed_ ? config.rounds() : mixing_rounds_;
   state_ = config.has_payloads()
@@ -206,7 +232,8 @@ void Session::DiscardPending() { pending_ = MakePendingArena(); }
 double Session::Gamma() const {
   ns::ReaderMutexLock structure(&sync_->structure);
   return static_cast<double>(graph_.num_nodes()) *
-         SumSquaresBound(stationary_sum_squares_, gap_, target_rounds_);
+         SumSquaresBound(stationary_sum_squares_, spectral_.gap,
+                         target_rounds_);
 }
 
 Status Session::Step(size_t k) {
@@ -362,20 +389,21 @@ Status Session::Rewire(Graph graph) {
         .RequireMixedRounds(require_mixed_rounds_)
         .AllowNonErgodic(allow_non_ergodic_);
   }
-  const Status status = Validate(probe);
-  if (!status.ok()) return status;
-
   // Spectral work happens OUTSIDE the exclusive lock (it is O(n * walk)):
   // readers keep answering against the old topology until the O(1) swap.
-  const double new_gap = EstimateSpectralGap(probe.graph()).gap;
+  // Validation's estimate is the one adopted.
+  SpectralGapEstimate new_spectral;
+  const Status status = ValidateWith(probe, &new_spectral);
+  if (!status.ok()) return status;
   const double new_sss = StationarySumSquares(probe.graph());
-  const size_t new_mixing = MixingTime(new_gap, probe.graph().num_nodes());
+  const size_t new_mixing =
+      MixingTime(new_spectral.gap, probe.graph().num_nodes());
 
   // Exclusive vs accounting readers, who read every field swapped here
   // (writer-priority: built into ns::SharedMutex, see BeginEpoch).
   ns::WriterMutexLock structure(&sync_->structure);
   graph_ = probe.ReleaseGraph();
-  gap_ = new_gap;
+  spectral_ = new_spectral;
   stationary_sum_squares_ = new_sss;
   mixing_rounds_ = new_mixing;
   // A mixing-time rounds policy re-resolves against the new topology; an
@@ -396,7 +424,7 @@ AccountingContext Session::ContextAt(size_t rounds, double epsilon0) const {
   ctx.protocol = protocol_;
   ctx.delta = delta_;
   ctx.delta2 = delta2_;
-  ctx.spectral_gap = gap_;
+  ctx.spectral_gap = spectral_.gap;
   ctx.stationary_sum_squares = stationary_sum_squares_;
   ctx.graph = &graph_;
   ctx.seed = epoch_seed_;

@@ -47,6 +47,7 @@
 #include "core/status.h"
 #include "dp/mechanism.h"
 #include "graph/graph.h"
+#include "graph/spectral.h"
 #include "shuffle/backend.h"
 #include "shuffle/engine.h"
 #include "shuffle/payload.h"
@@ -149,7 +150,9 @@ class SessionConfig {
   }
 
   /// Delta budget split: composition slack / report-size concentration
-  /// slack (both in (0, 1), sum < 1).
+  /// slack (both in (0, 1), sum < 1).  delta2 also pays the spectral
+  /// estimate's failure probability, so it must exceed
+  /// kSpectralFailureProbability (graph/spectral.h).
   SessionConfig& SetDeltaSplit(double delta, double delta2) {
     delta_ = delta;
     delta2_ = delta2;
@@ -250,10 +253,15 @@ class Session {
  public:
   /// Validates `config` (see Validate) and builds the session: spectral gap,
   /// mixing time, rounds-policy resolution, report injection.  All
-  /// configuration errors surface here, once, as typed Status values.
+  /// configuration errors surface here, once, as typed Status values.  The
+  /// spectral estimate runs exactly once; unless AllowNonErgodic is set, a
+  /// graph whose certified bound lambda_upper reaches 1 fails closed with
+  /// kSpectralGapUncertified.
   static Expected<Session> Create(SessionConfig config);
 
-  /// The checks Create performs, without building anything.
+  /// The checks Create performs, without building anything.  Pays for a
+  /// spectral estimate only when RequireMixedRounds is set with fixed
+  /// rounds (the mixing-floor check needs the gap).
   static Status Validate(const SessionConfig& config);
 
   Session(Session&&) = default;
@@ -275,7 +283,14 @@ class Session {
   /// scalar getters safe concurrent with Rewire/BeginEpoch).
   double spectral_gap() const {
     ns::ReaderMutexLock lock(&sync_->structure);
-    return gap_;
+    return spectral_.gap;
+  }
+  /// The whole certified estimate behind spectral_gap(): Lanczos
+  /// iterations, convergence, Ritz value and lambda_upper.  Reader-safe
+  /// under the same lock.
+  SpectralGapEstimate spectral_estimate() const {
+    ns::ReaderMutexLock lock(&sync_->structure);
+    return spectral_;
   }
   /// alpha^-1 log n — the paper's operating point and the rounds floor.
   /// Reader-safe.
@@ -310,13 +325,14 @@ class Session {
   //
   //   reader-safe, concurrent with Step AND with BeginEpoch/Rewire:
   //   Guarantee / GuaranteeAt / RawGuaranteeAt / TargetGuarantee /
-  //   current_round / epoch / num_users / spectral_gap / mixing_rounds /
-  //   target_rounds / Gamma.  Progress is published through one packed
-  //   (epoch, round) atomic with release/acquire ordering — readers
-  //   observe a monotone counter and never a torn (epoch, round) pair —
-  //   and the graph/spectral state those queries read is NS_GUARDED_BY
-  //   Sync::structure, an ns::SharedMutex (writer-priority built in) that
-  //   only BeginEpoch and Rewire take exclusively.  Accountant caches are
+  //   current_round / epoch / num_users / spectral_gap / spectral_estimate /
+  //   mixing_rounds / target_rounds / Gamma.  Progress is published
+  //   through one packed (epoch, round) atomic with release/acquire
+  //   ordering — readers observe a monotone counter and never a torn
+  //   (epoch, round) pair — and the graph/spectral state those queries
+  //   read is NS_GUARDED_BY Sync::structure, an ns::SharedMutex
+  //   (writer-priority built in) that only BeginEpoch and Rewire take
+  //   exclusively.  Accountant caches are
   //   serialized on the query-side Sync::accountant mutex.  No lock of
   //   any kind is added to the engine's hop or scatter passes.
   //
@@ -462,7 +478,8 @@ class Session {
   /// Replaces the communication graph between steps (dynamic networks,
   /// paper Section 4.5).  The replacement must pass the same validation and
   /// carry the same node count (holdings are indexed by user).  Spectral
-  /// invariants and the mixing floor are recomputed, and a mixing-time
+  /// invariants (one estimate; kSpectralGapUncertified as in Create) and
+  /// the mixing floor are recomputed, and a mixing-time
   /// rounds policy re-resolves target_rounds() against the new topology
   /// (an explicit SetRounds target is kept as configured); the executed
   /// rounds and holdings are kept, and accountant caches are invalidated.
@@ -501,7 +518,16 @@ class Session {
   }
 
  private:
-  Session(SessionConfig config, std::shared_ptr<StorageBackend> backend);
+  Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
+          const SpectralGapEstimate& spectral);
+
+  /// Validate's checks.  With `estimate` non-null the spectral estimate
+  /// always runs, once, and lands there for the caller to adopt (Create,
+  /// Rewire); with null it runs only when the mixing-floor check needs it.
+  /// Either way an uncertifiable gap on an ergodic-checked graph is
+  /// kSpectralGapUncertified.
+  static Status ValidateWith(const SessionConfig& config,
+                             SpectralGapEstimate* estimate);
 
   /// A fresh pending arena: heap, or hosted on the session's backend.
   /// Stream-file creation on an established backend failing (disk gone
@@ -584,7 +610,7 @@ class Session {
   /// the session's life (Rewire requires a same-size replacement), so
   /// Ingest's per-report origin check and num_users() read it lock-free.
   size_t num_users_ = 0;
-  double gap_ NS_GUARDED_BY(sync_->structure) = 0.0;
+  SpectralGapEstimate spectral_ NS_GUARDED_BY(sync_->structure);
   double stationary_sum_squares_ NS_GUARDED_BY(sync_->structure) = 0.0;
   size_t mixing_rounds_ NS_GUARDED_BY(sync_->structure) = 0;
   size_t target_rounds_ NS_GUARDED_BY(sync_->structure) = 0;

@@ -39,6 +39,11 @@ enum class StatusCode {
   /// Fixed rounds below the mixing floor alpha^-1 log n while
   /// SessionConfig::RequireMixedRounds is set.
   kRoundsBelowMixingFloor,
+  /// The certified spectral-gap bound lambda_upper reached 1 on a graph
+  /// that passed the connectivity and bipartiteness checks: the estimate
+  /// (graph/spectral.h) could not certify any gap within its iteration cap,
+  /// so no mixing time or geometric term can be priced.
+  kSpectralGapUncertified,
   /// A replacement graph is incompatible with the running session
   /// (different node count).
   kGraphMismatch,
@@ -73,6 +78,8 @@ inline const char* StatusCodeName(StatusCode code) {
     case StatusCode::kZeroRounds: return "kZeroRounds";
     case StatusCode::kRoundsBelowMixingFloor:
       return "kRoundsBelowMixingFloor";
+    case StatusCode::kSpectralGapUncertified:
+      return "kSpectralGapUncertified";
     case StatusCode::kGraphMismatch: return "kGraphMismatch";
     case StatusCode::kEdgeEndpointOutOfRange:
       return "kEdgeEndpointOutOfRange";

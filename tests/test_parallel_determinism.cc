@@ -37,8 +37,7 @@ struct Snapshot {
   size_t max_memory = 0;
   double mc_mean = 0.0;
   double mc_quantile = 0.0;
-  double gap = 0.0;
-  double lambda = 0.0;
+  SpectralGapEstimate spectral;
   std::vector<double> walk_p;
   double walk_sum_squares = 0.0;
 };
@@ -70,9 +69,7 @@ Snapshot RunAll(const Graph& g, size_t threads) {
   s.mc_mean = mc.epsilon_mean;
   s.mc_quantile = mc.epsilon_quantile;
 
-  const auto sg = EstimateSpectralGap(g);
-  s.gap = sg.gap;
-  s.lambda = sg.lambda;
+  s.spectral = EstimateSpectralGap(g);
 
   PositionDistribution d(&g, 0);
   for (int i = 0; i < 6; ++i) d.LazyStep(i % 2 == 0 ? 0.0 : 0.25);
@@ -95,8 +92,14 @@ void CheckIdentical(const Snapshot& a, const Snapshot& b) {
   // Bit-identical epsilons, not merely close.
   CHECK(a.mc_mean == b.mc_mean);
   CHECK(a.mc_quantile == b.mc_quantile);
-  CHECK(a.gap == b.gap);
-  CHECK(a.lambda == b.lambda);
+  // The whole certified estimate: every Lanczos reduction sums fixed
+  // blocks in block order, so the Ritz value, the bound, and the step at
+  // which the stopping rule fires cannot move with the thread count.
+  CHECK(a.spectral.gap == b.spectral.gap);
+  CHECK(a.spectral.lambda == b.spectral.lambda);
+  CHECK(a.spectral.lambda_upper == b.spectral.lambda_upper);
+  CHECK(a.spectral.iterations == b.spectral.iterations);
+  CHECK(a.spectral.converged == b.spectral.converged);
   CHECK(a.walk_sum_squares == b.walk_sum_squares);
   CHECK(a.walk_p.size() == b.walk_p.size());
   for (size_t v = 0; v < a.walk_p.size(); ++v) {
@@ -126,6 +129,8 @@ int main() {
     // above it either.
     const Snapshot t64 = RunAll(*g, 64);
     CheckIdentical(t1, t64);
+    CHECK(t4.spectral.converged);
+    CHECK(t4.spectral.gap > 0.0);
     CHECK(t4.mc_mean > 0.0);
     CHECK(t4.mc_mean <= t4.mc_quantile + 1e-12);
   }

@@ -17,6 +17,7 @@
 #include "dp/ldp.h"
 #include "dp/privunit.h"
 #include "graph/generators.h"
+#include "graph/spectral.h"
 #include "graph/walk.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -59,7 +60,11 @@ int main() {
     // Negative, zero, > 1, and jointly-too-large delta splits.
     const std::vector<std::pair<double, double>> bad_splits{
         {-1e-6, 0.5e-6}, {0.5e-6, -1e-6}, {0.0, 0.5e-6},
-        {1.5, 0.5e-6},   {0.5e-6, 2.0},   {0.6, 0.6}};
+        {1.5, 0.5e-6},   {0.5e-6, 2.0},   {0.6, 0.6},
+        // delta2 must also cover the spectral estimate's failure
+        // probability (graph/spectral.h).
+        {0.5e-6, kSpectralFailureProbability},
+        {0.5e-6, 0.5 * kSpectralFailureProbability}};
     for (const auto& split : bad_splits) {
       SessionConfig bad_delta;
       bad_delta.SetGraph(SmallExpander())
@@ -512,6 +517,71 @@ int main() {
     Session fresh = Session::Create(std::move(fresh_cfg)).value();
     CHECK_NEAR(rewired.RawGuaranteeAt(10, 1.0).epsilon,
                fresh.RawGuaranteeAt(10, 1.0).epsilon, 0.0);
+  }
+
+  // ---- Certified spectral estimate: once per graph, fail closed ------------
+  {
+    // One estimate per Create (also under RequireMixedRounds, whose floor
+    // check shares it) and one per Rewire.
+    uint64_t before = SpectralEstimateCount();
+    SessionConfig plain;
+    plain.SetGraph(SmallExpander());
+    Session a = Session::Create(std::move(plain)).value();
+    CHECK(SpectralEstimateCount() == before + 1);
+    before = SpectralEstimateCount();
+    SessionConfig strict;
+    strict.SetGraph(SmallExpander()).SetRounds(500).RequireMixedRounds();
+    Session b = Session::Create(std::move(strict)).value();
+    CHECK(SpectralEstimateCount() == before + 1);
+    before = SpectralEstimateCount();
+    CHECK(b.Rewire(SmallExpander(500, 8, 7)).ok());
+    CHECK(SpectralEstimateCount() == before + 1);
+
+    // The accessor exposes the adopted estimate, bit-identical to a direct
+    // one on the same graph.
+    const SpectralGapEstimate est = b.spectral_estimate();
+    const SpectralGapEstimate direct =
+        EstimateSpectralGap(SmallExpander(500, 8, 7));
+    CHECK(est.converged);
+    CHECK(est.iterations == direct.iterations);
+    CHECK(est.lambda == direct.lambda);
+    CHECK(est.lambda_upper == direct.lambda_upper);
+    CHECK(est.gap == b.spectral_gap());
+    CHECK(est.gap == 1.0 - est.lambda_upper);
+    CHECK(b.mixing_rounds() == MixingTime(est.gap, 500));
+    CHECK(a.spectral_estimate().converged);
+
+    // A long odd cycle is connected and non-bipartite, but 300 Lanczos
+    // steps certify no gap: Create fails closed instead of pricing the walk
+    // at MixingTime's round cap.
+    SessionConfig slow;
+    slow.SetGraph(MakeCirculant(20001, 2));
+    CHECK(CreateError(std::move(slow)) ==
+          StatusCode::kSpectralGapUncertified);
+    SessionConfig slow_validate;
+    slow_validate.SetGraph(MakeCirculant(20001, 2))
+        .SetRounds(10)
+        .RequireMixedRounds();
+    CHECK(Session::Validate(slow_validate).code() ==
+          StatusCode::kSpectralGapUncertified);
+    // AllowNonErgodic keeps its escape hatch: the zero gap is adopted.
+    SessionConfig slow_allowed;
+    slow_allowed.SetGraph(MakeCirculant(20001, 2)).AllowNonErgodic();
+    Session c = Session::Create(std::move(slow_allowed)).value();
+    CHECK(c.spectral_gap() == 0.0);
+    CHECK(!c.spectral_estimate().converged);
+
+    // Rewire onto the same graph fails closed and keeps the old topology.
+    Rng rng(9);
+    SessionConfig big;
+    big.SetGraph(MakeRandomRegular(20001, 8, &rng));
+    Session d = Session::Create(std::move(big)).value();
+    const double gap = d.spectral_gap();
+    const size_t target = d.target_rounds();
+    CHECK(d.Rewire(MakeCirculant(20001, 2)).code() ==
+          StatusCode::kSpectralGapUncertified);
+    CHECK(d.spectral_gap() == gap);
+    CHECK(d.target_rounds() == target);
   }
 
   // ---- Resume offset contract --------------------------------------------

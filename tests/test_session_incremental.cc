@@ -17,6 +17,7 @@
 #include "core/session.h"
 #include "dp/amplification.h"
 #include "graph/generators.h"
+#include "graph/spectral.h"
 #include "graph/walk.h"
 #include "shuffle/engine.h"
 #include "tests/test_util.h"
@@ -146,6 +147,9 @@ void CheckIncrementalEqualsOneShot(const Graph& g,
     NetworkShufflingBoundInput in;
     in.epsilon0 = 1.0;
     in.n = kUsers;
+    // The stationary bound pays the spectral failure probability from
+    // delta2 (core/accountant.h).
+    in.delta2 -= kSpectralFailureProbability;
     in.sum_p_squares =
         SumSquaresBound(pi_sq, single_steps.spectral_gap(), t);
     const double closed = protocol == ReportingProtocol::kSingle
