@@ -1,7 +1,9 @@
 #include "shuffle/engine.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "shuffle/engine_internal.h"
 #include "util/parallel.h"
@@ -48,9 +50,8 @@ constexpr size_t kMaxRoutingShards = 32;
 // holding is ~1 report, so a tile is a few tens of KB; skewed holdings —
 // a hub on a star-like graph — just grow the per-report columns to fit).
 // Tiling is scheduling-only and never splits one user's draw sequence
-// across fills.  The value is published to the sharded engine through
-// shuffle/engine_internal.h (its workers size the same tile buffers).
-constexpr uint32_t kCoinTile = engine_internal::kHopTileHolders;
+// across fills.
+constexpr uint32_t kCoinTile = 4096;
 
 // Software-prefetch lookahead for the dependent random accesses (scatter
 // cursor claims and arena placements).  The tables are O(n) and miss L1/L2
@@ -60,12 +61,12 @@ constexpr uint32_t kCoinTile = engine_internal::kHopTileHolders;
 // exposed).
 constexpr uint32_t kPrefetchAhead = 40;
 
-// Dereference the per-tile neighbor addresses into the dest column and
-// histogram them into the shard's counting row — the only pass of the hop
-// that touches random adjacency lines.  The AVX-512 body gathers 8 lines
-// per instruction, widening the out-of-order miss window far beyond what
-// the scalar loop's speculation reaches; the histogram increments then hit
-// in registers/L1.  Bit-identical to the scalar tail by construction.
+// Dereference the per-tile neighbor addresses into the dest column and,
+// given a count row, histogram them into it — the only pass of the hop that
+// touches random adjacency lines.  The AVX-512 body gathers 8 lines per
+// instruction, widening the out-of-order miss window far beyond what the
+// scalar loop's speculation reaches; the histogram increments then hit in
+// registers/L1.  Bit-identical to the scalar tail by construction.
 #if NETSHUFFLE_ENGINE_AVX512
 __attribute__((target("avx512f"))) void DerefHistAvx512(
     const NodeId* const* addrs, uint32_t base, uint32_t end_off,
@@ -77,6 +78,7 @@ __attribute__((target("avx512f"))) void DerefHistAvx512(
     // ns-lint: allow(wire): SIMD register stores into local uint32 rows —
     // intrinsic-mandated pointer casts, nothing serialized
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dests + i), d8);
+    if (count == nullptr) continue;
     alignas(32) uint32_t d[8];
     // ns-lint: allow(wire): intrinsic-mandated register-store cast (above)
     _mm256_store_si256(reinterpret_cast<__m256i*>(d), d8);
@@ -85,7 +87,7 @@ __attribute__((target("avx512f"))) void DerefHistAvx512(
   for (; i < end_off; ++i) {
     const uint32_t d = *addrs[i - base];
     dests[i] = d;
-    ++count[d];
+    if (count != nullptr) ++count[d];
   }
 }
 #endif  // NETSHUFFLE_ENGINE_AVX512
@@ -102,7 +104,7 @@ void DerefHist(const NodeId* const* addrs, uint32_t base, uint32_t end_off,
   for (uint32_t i = base; i < end_off; ++i) {
     const uint32_t d = *addrs[i - base];
     dests[i] = d;
-    ++count[d];
+    if (count != nullptr) ++count[d];
   }
 }
 
@@ -114,9 +116,9 @@ void DerefHist(const NodeId* const* addrs, uint32_t base, uint32_t end_off,
 // Availability is an exceptional regime; this path is kept simple rather
 // than fast.
 void FaultHopShard(const Graph& g, const ExchangeOptions& options,
-                   size_t round, size_t h_begin, size_t h_end,
-                   const uint32_t* holder_v, const uint32_t* holder_b,
-                   uint32_t* count, uint32_t* dests,
+                   size_t round, const uint32_t* holder_v,
+                   const uint32_t* holder_b, size_t h_begin, size_t h_end,
+                   uint32_t* dests, uint32_t* count,
                    std::vector<std::pair<NodeId, uint64_t>>* traffic) {
   for (size_t h = h_begin; h < h_end; ++h) {
     const NodeId v = holder_v[h];
@@ -127,14 +129,14 @@ void FaultHopShard(const Graph& g, const ExchangeOptions& options,
     if (!is_awake || deg == 0) {
       // Asleep or isolated: every held report stays put, no draws.
       for (uint32_t i = b; i < e; ++i) dests[i] = v;
-      count[v] += e - b;
+      if (count != nullptr) count[v] += e - b;
       continue;
     }
     const NodeId* nbr = g.neighbors_begin(v);
     for (uint32_t i = b; i < e; ++i) {
       const uint32_t d = nbr[rng.UniformInt(deg)];
       dests[i] = d;
-      ++count[d];
+      if (count != nullptr) ++count[d];
     }
     if (options.metrics != nullptr) {
       traffic->emplace_back(v, static_cast<uint64_t>(e - b));
@@ -144,15 +146,60 @@ void FaultHopShard(const Graph& g, const ExchangeOptions& options,
 
 }  // namespace
 
-// The hop and scatter kernels are shared with the sharded engine
-// (shuffle/sharded.cc) through shuffle/engine_internal.h — the sharded
-// workers run them unmodified over their contiguous user ranges, which is
-// what makes the bit-identity argument a pure placement-order argument.
+// The round phases are shared with the sharded engine (shuffle/sharded.cc)
+// through shuffle/engine_internal.h — its workers run them unmodified over
+// their contiguous user ranges, which is what makes the bit-identity
+// argument a pure placement-order argument.
 namespace engine_internal {
 
-// One source shard's hop pass for one round, over its slice of the round's
-// holder list (users with at least one held report, in ascending user
-// order — built branchlessly by the prefix pass; see ResumeExchange).
+void CheckResumeContract(const char* entry, const ExchangeOptions& options,
+                         size_t prior_rounds) {
+  const Status valid = ValidateExchangeOptions(options);
+  if (!valid.ok()) NETSHUFFLE_FATAL(valid.ToString());
+  if (options.first_round != prior_rounds) {
+    NETSHUFFLE_FATAL(std::string(entry) + ": options.first_round (" +
+                     std::to_string(options.first_round) +
+                     ") must equal the rounds already executed (" +
+                     std::to_string(prior_rounds) + ")");
+  }
+}
+
+void PartitionUsers(size_t n, size_t parts, std::vector<uint32_t>* bounds) {
+  bounds->resize(parts + 1);
+  for (size_t c = 0; c <= parts; ++c) {
+    // ns-lint: allow(narrow32): c*n/parts <= n, and n is a u32 NodeId count
+    (*bounds)[c] = static_cast<uint32_t>(c * n / parts);
+  }
+}
+
+// Branch-free: the candidate entry is written unconditionally and the
+// length advances only for users that actually hold something.
+size_t BuildHolderList(const uint32_t* offsets, uint32_t first_user,
+                       size_t users, uint32_t* holder_v, uint32_t* holder_b) {
+  size_t num_holders = 0;
+  for (size_t u = 0; u < users; ++u) {
+    // ns-lint: allow(narrow32): hot kernel; u < users <= n, a u32 NodeId
+    // count narrowed at store allocation.
+    holder_v[num_holders] = first_user + static_cast<uint32_t>(u);
+    holder_b[num_holders] = offsets[u];
+    num_holders += (offsets[u + 1] > offsets[u]) ? 1 : 0;
+  }
+  // ns-lint: allow(narrow32): sentinel; same bound as the loop above.
+  holder_v[num_holders] = first_user + static_cast<uint32_t>(users);
+  holder_b[num_holders] = offsets[users];
+  return num_holders;
+}
+
+size_t HopScratch::MemoryBytes() const {
+  return (streams.capacity() + firsts.capacity() + coins.capacity()) *
+             sizeof(uint64_t) +
+         multi.capacity() * sizeof(uint32_t) +
+         addrs.capacity() * sizeof(const NodeId*) +
+         traffic.capacity() * sizeof(std::pair<NodeId, uint64_t>);
+}
+
+// One part's hop pass for one round, over its slice of the round's holder
+// list (users with at least one held report, in ascending user order).
 // Tile by tile over holders:
 //   A1. stream seeds + first words for every holder in the tile, as one
 //       flat batch (util/rng.h BatchStreamSeeds — AVX-512 when available);
@@ -165,26 +212,33 @@ namespace engine_internal {
 //       power-of-two degrees, the multiply-shift MapToBound otherwise — and
 //       software-prefetch each address; isolated users' slots point at the
 //       holder id itself (stay-in-place, no draw);
-//   B2. dereference the addresses into destinations and histogram them into
-//       this shard's counting row (DerefHist above).
+//   B2. dereference the addresses into destinations and, given a count
+//       row, histogram them into it (DerefHist above).
 // The coin schedule and the per-slice draw order are exactly the scalar
 // engine's, so determinism is untouched (DESIGN.md §4e; pinned by
 // tests/test_kernel_differential.cc).
 void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
-              size_t h_begin, size_t h_end, const uint32_t* holder_v,
-              const uint32_t* holder_b, uint32_t* count, size_t n,
-              uint32_t* dests, uint64_t* streams, uint64_t* firsts,
-              uint32_t* multi, std::vector<uint64_t>* coin_buf,
-              std::vector<const NodeId*>* addr_buf,
-              std::vector<std::pair<NodeId, uint64_t>>* traffic) {
-  std::fill(count, count + n, 0u);
-  traffic->clear();
+              const uint32_t* holder_v, const uint32_t* holder_b,
+              size_t h_begin, size_t h_end, uint32_t* dests, uint32_t* count,
+              HopScratch* scratch) {
+  if (count != nullptr) std::fill(count, count + g.num_nodes(), 0u);
+  scratch->traffic.clear();
 
   if (options.faults != nullptr) {
-    FaultHopShard(g, options, round, h_begin, h_end, holder_v, holder_b,
-                  count, dests, traffic);
+    FaultHopShard(g, options, round, holder_v, holder_b, h_begin, h_end,
+                  dests, count, &scratch->traffic);
     return;
   }
+
+  // A tile holds at most kCoinTile holders (each holder holds at least one
+  // report), so the per-holder columns have a fixed size; coins/addrs are
+  // per-report and grow below if a single holding outgrows the tile.
+  scratch->streams.resize(kCoinTile);
+  scratch->firsts.resize(kCoinTile);
+  scratch->multi.resize(kCoinTile);
+  uint64_t* const streams = scratch->streams.data();
+  uint64_t* const firsts = scratch->firsts.data();
+  uint32_t* const multi = scratch->multi.data();
 
   size_t h0 = h_begin;
   while (h0 < h_end) {
@@ -195,12 +249,12 @@ void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
     const uint32_t base = holder_b[h0];
     const size_t h1 = std::min(h0 + kCoinTile, h_end);
     const uint32_t end_off = holder_b[h1];
-    if (coin_buf->size() < end_off - base) {
-      coin_buf->resize(std::max<size_t>(end_off - base, kCoinTile));
-      addr_buf->resize(coin_buf->size());
+    if (scratch->coins.size() < end_off - base) {
+      scratch->coins.resize(std::max<size_t>(end_off - base, kCoinTile));
+      scratch->addrs.resize(scratch->coins.size());
     }
-    uint64_t* const coins = coin_buf->data();
-    const NodeId** const addrs = addr_buf->data();
+    uint64_t* const coins = scratch->coins.data();
+    const NodeId** const addrs = scratch->addrs.data();
 
     // ---- A1: stream seeds + first words, one flat batch.
     BatchStreamSeeds(holder_v + h0, h1 - h0, options.seed, round, streams,
@@ -257,7 +311,7 @@ void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
         }
       }
       if (options.metrics != nullptr) {
-        traffic->emplace_back(v, static_cast<uint64_t>(e - b));
+        scratch->traffic.emplace_back(v, static_cast<uint64_t>(e - b));
       }
     }
 
@@ -266,6 +320,33 @@ void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
 
     h0 = h1;
   }
+}
+
+size_t PrefixCursors(uint32_t* counts, size_t parts, size_t width,
+                     uint32_t first_user, uint32_t* next_offsets,
+                     uint32_t* holder_v, uint32_t* holder_b) {
+  uint32_t run = 0;
+  size_t next_holders = 0;
+  for (size_t v = 0; v < width; ++v) {
+    next_offsets[v] = run;
+    // ns-lint: allow(narrow32): hot kernel; v < width <= n, narrowed at
+    // store allocation.
+    holder_v[next_holders] = first_user + static_cast<uint32_t>(v);
+    holder_b[next_holders] = run;
+    const uint32_t row_start = run;
+    for (size_t c = 0; c < parts; ++c) {
+      uint32_t& slot = counts[c * width + v];
+      const uint32_t load = slot;
+      slot = run;  // part c's first slot inside destination v's slice
+      run += load;
+    }
+    next_holders += (run > row_start) ? 1 : 0;
+  }
+  next_offsets[width] = run;  // == the part's report count: conserved
+  // ns-lint: allow(narrow32): sentinel; same bound as the loop above.
+  holder_v[next_holders] = first_user + static_cast<uint32_t>(width);
+  holder_b[next_holders] = run;
+  return next_holders;
 }
 
 // One source shard's scatter pass: claim every report's slot from the
@@ -297,22 +378,21 @@ void ScatterShard(uint32_t* cursor, uint32_t begin, uint32_t end,
 
 }  // namespace engine_internal
 
+ExchangeWorkspace::ExchangeWorkspace() = default;
+ExchangeWorkspace::~ExchangeWorkspace() = default;
+ExchangeWorkspace::ExchangeWorkspace(ExchangeWorkspace&&) noexcept = default;
+ExchangeWorkspace& ExchangeWorkspace::operator=(ExchangeWorkspace&&) noexcept =
+    default;
+
 size_t ExchangeWorkspace::MemoryBytes() const {
   size_t bytes = next_.MemoryBytes() +
                  dests_.capacity() * sizeof(uint32_t) +
                  counts_.capacity() * sizeof(uint32_t) +
+                 bounds_.capacity() * sizeof(uint32_t) +
                  holder_v_.capacity() * sizeof(uint32_t) +
                  holder_b_.capacity() * sizeof(uint32_t) +
-                 holder_start_.capacity() * sizeof(size_t) +
-                 bounds_.capacity() * sizeof(size_t);
-  for (const auto& t : coins_) bytes += t.capacity() * sizeof(uint64_t);
-  for (const auto& t : addrs_) bytes += t.capacity() * sizeof(const NodeId*);
-  for (const auto& t : streams_) bytes += t.capacity() * sizeof(uint64_t);
-  for (const auto& t : firsts_) bytes += t.capacity() * sizeof(uint64_t);
-  for (const auto& t : multi_) bytes += t.capacity() * sizeof(uint32_t);
-  for (const auto& t : traffic_) {
-    bytes += t.capacity() * sizeof(std::pair<NodeId, uint64_t>);
-  }
+                 holder_start_.capacity() * sizeof(size_t);
+  for (const engine_internal::HopScratch& h : hop_) bytes += h.MemoryBytes();
   return bytes;
 }
 
@@ -409,16 +489,8 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
 ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
                               const ExchangeOptions& options,
                               ExchangeWorkspace* workspace) {
-  const Status valid = ValidateExchangeOptions(options);
-  if (!valid.ok()) NETSHUFFLE_FATAL(valid.ToString());
-  if (options.first_round != prior.rounds) {
-    // A mismatched offset would draw coins from the wrong per-round streams
-    // and silently diverge from the one-shot schedule.
-    NETSHUFFLE_FATAL("ResumeExchange: options.first_round (" +
-                     std::to_string(options.first_round) +
-                     ") must equal the rounds already executed (" +
-                     std::to_string(prior.rounds) + ")");
-  }
+  engine_internal::CheckResumeContract("ResumeExchange", options,
+                                       prior.rounds);
 
   const size_t n = g.num_nodes();
   ExchangeResult result = std::move(prior);
@@ -451,73 +523,38 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
       {std::max<size_t>(ThreadCount(), 1), n, kMaxRoutingShards});
 
   // Size the reusable scratch.  Every resize target depends only on
-  // (n, total, shards) — the coin/address tiles additionally grow to the
-  // largest single holding seen — so for a fixed session this settles after
-  // the first rounds and incremental Step(1) loops re-enter allocation-free
+  // (n, total, shards) — the hop scratch additionally grows to the largest
+  // single holding seen — so for a fixed session this settles after the
+  // first rounds and incremental Step(1) loops re-enter allocation-free
   // (pinned by tests/test_session_incremental.cc):
   //   next          — the double-buffer partner each round scatters into;
   //   dests         — per arena slot, this round's destination, then (in
   //                   the scatter) the claimed slot;
   //   counts        — shards x n rows: per-destination loads, converted in
-  //                   place into per-shard scatter cursors by the prefix
-  //                   pass;
-  //   holder_v/b    — the round's holder list: users with >= 1 held report
-  //                   (ascending) and where their arena run begins, plus a
-  //                   sentinel — what lets the hop kernels iterate holders
-  //                   with no empty-user branches;
+  //                   place into per-shard scatter cursors by PrefixCursors;
+  //   holder_v/b    — the round's holder list (engine_internal.h);
   //   holder_start  — each shard's slice of that list;
-  //   streams/firsts/multi/coins/addrs — per-shard hop-tile columns;
-  //   traffic       — per-shard (user, sends) counters, merged into the
-  //                   shared ShuffleMetrics at round end instead of racing
-  //                   on it.
+  //   hop           — per-shard hop scratch; its traffic counters are
+  //                   merged into the shared ShuffleMetrics at round end
+  //                   instead of racing on it.
   ExchangeWorkspace& ws = *workspace;
   ws.next_.AllocateFor(n, total);
   ws.dests_.resize(total);
   ws.counts_.resize(shards * n);
-  ws.bounds_.resize(shards + 1);
   ws.holder_v_.resize(n + 1);
   ws.holder_b_.resize(n + 1);
   ws.holder_start_.resize(shards + 1);
-  ws.coins_.resize(shards);
-  ws.addrs_.resize(shards);
-  ws.streams_.resize(shards);
-  ws.firsts_.resize(shards);
-  ws.multi_.resize(shards);
-  for (size_t c = 0; c < shards; ++c) {
-    // A hop tile holds at most kCoinTile holders (each holder holds at
-    // least one report), so the per-holder side buffers have a fixed bound;
-    // coins_/addrs_ are per-report and grow inside HopShard if a single
-    // holding outgrows the tile budget.
-    ws.streams_[c].resize(kCoinTile);
-    ws.firsts_[c].resize(kCoinTile);
-    ws.multi_[c].resize(kCoinTile);
-  }
-  ws.traffic_.resize(shards);
-  for (size_t c = 0; c <= shards; ++c) ws.bounds_[c] = c * n / shards;
-  const size_t* bounds = ws.bounds_.data();
+  ws.hop_.resize(shards);
+  engine_internal::PartitionUsers(n, shards, &ws.bounds_);
+  const uint32_t* bounds = ws.bounds_.data();
   uint32_t* dests = ws.dests_.data();
   uint32_t* holder_v = ws.holder_v_.data();
   uint32_t* holder_b = ws.holder_b_.data();
 
-  // Build the first round's holder list from the incoming store (later
-  // rounds rebuild it for free inside the prefix pass).  Branch-free: the
-  // candidate entry is written unconditionally and the length advances only
-  // for users that actually hold something.
-  size_t num_holders = 0;
-  {
-    const uint32_t* offsets = store.offsets_data();
-    for (size_t v = 0; v < n; ++v) {
-      // ns-lint: allow(narrow32): hot kernel; v < n and n/total passed
-      // CheckedNarrow32 when the store's offset columns were allocated.
-      holder_v[num_holders] = static_cast<uint32_t>(v);
-      holder_b[num_holders] = offsets[v];
-      num_holders += (offsets[v + 1] > offsets[v]) ? 1 : 0;
-    }
-    // ns-lint: allow(narrow32): sentinel; same bound as the loop above.
-    holder_v[num_holders] = static_cast<uint32_t>(n);  // sentinel
-    // ns-lint: allow(narrow32): total fits the uint32 offset column.
-    holder_b[num_holders] = static_cast<uint32_t>(total);
-  }
+  // The first round's holder list comes from the incoming store; later
+  // rounds get theirs from the prefix pass.
+  size_t num_holders = engine_internal::BuildHolderList(
+      store.offsets_data(), 0, n, holder_v, holder_b);
 
   for (size_t step = 0; step < options.rounds; ++step) {
     // The absolute round index keys the RNG streams, so resumed chunks draw
@@ -530,10 +567,8 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     // exactly those with user id in [bounds[c], bounds[c+1])), so every hop
     // shard still covers a contiguous arena range.
     for (size_t c = 0; c <= shards; ++c) {
-      // ns-lint: allow(narrow32): shard bounds are user ids, <= n.
       ws.holder_start_[c] =
-          std::lower_bound(holder_v, holder_v + num_holders,
-                           static_cast<uint32_t>(bounds[c])) -
+          std::lower_bound(holder_v, holder_v + num_holders, bounds[c]) -
           holder_v;
     }
 
@@ -551,42 +586,16 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     // class address mapping, and per-shard destination histograms — see
     // HopShard above and DESIGN.md §4e.
     GlobalPool().RunChunks(shards, [&](size_t c) {
-      engine_internal::HopShard(
-          g, options, round, ws.holder_start_[c], ws.holder_start_[c + 1],
-          holder_v, holder_b, ws.counts_.data() + c * n, n, dests,
-          ws.streams_[c].data(), ws.firsts_[c].data(), ws.multi_[c].data(),
-          &ws.coins_[c], &ws.addrs_[c], &ws.traffic_[c]);
+      engine_internal::HopShard(g, options, round, holder_v, holder_b,
+                                ws.holder_start_[c], ws.holder_start_[c + 1],
+                                dests, ws.counts_.data() + c * n, &ws.hop_[c]);
     });
 
-    // Prefix pass (coordinating thread): one running sum over destinations,
-    // visiting source shards in ascending order within each destination,
-    // yields the next CSR offsets, every shard's private scatter cursor,
-    // AND the next round's holder list (branch-free append of every
-    // destination that received a nonzero load).  This fixed visit order is
-    // what pins the canonical ascending-sender layout regardless of
-    // scheduling.
-    uint32_t* next_offsets = ws.next_.mutable_offsets();
-    uint32_t run = 0;
-    size_t next_holders = 0;
-    for (size_t v = 0; v < n; ++v) {
-      next_offsets[v] = run;
-      // ns-lint: allow(narrow32): hot kernel; v < n, narrowed at store
-      // allocation.
-      holder_v[next_holders] = static_cast<uint32_t>(v);
-      holder_b[next_holders] = run;
-      const uint32_t row_start = run;
-      for (size_t c = 0; c < shards; ++c) {
-        uint32_t& slot = ws.counts_[c * n + v];
-        const uint32_t load = slot;
-        slot = run;  // shard c's first slot inside destination v's slice
-        run += load;
-      }
-      next_holders += (run > row_start) ? 1 : 0;
-    }
-    next_offsets[n] = run;  // == total: reports are conserved
-    // ns-lint: allow(narrow32): sentinel; n narrowed at store allocation.
-    holder_v[next_holders] = static_cast<uint32_t>(n);  // sentinel
-    holder_b[next_holders] = run;
+    // Prefix pass (coordinating thread): the next CSR offsets, every shard's
+    // scatter cursors, and the next round's holder list, in one pass.
+    const size_t next_holders = engine_internal::PrefixCursors(
+        ws.counts_.data(), shards, n, 0, ws.next_.mutable_offsets(), holder_v,
+        holder_b);
 
     // Scatter phase (parallel over source shards): each shard walks its
     // arena range in order, claims each report's pre-assigned slot from its
@@ -612,7 +621,7 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     // Metrics merge, on the coordinating thread, in shard order.
     if (options.metrics != nullptr) {
       for (size_t c = 0; c < shards; ++c) {
-        for (const auto& t : ws.traffic_[c]) {
+        for (const auto& t : ws.hop_[c].traffic) {
           options.metrics->AddUserTraffic(t.first, t.second);
         }
       }

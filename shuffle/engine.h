@@ -88,6 +88,9 @@ struct ExchangeResult {
 };
 
 class ExchangeWorkspace;
+namespace engine_internal {
+struct HopScratch;  // shuffle/engine_internal.h
+}  // namespace engine_internal
 
 ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
                               const ExchangeOptions& options,
@@ -95,8 +98,8 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
 
 /// Reusable scratch for ResumeExchange (DESIGN.md §4e): the double-buffer
 /// partner store plus the per-round routing tables — destination/slot
-/// column, per-shard counting rows, the holder list the batched hop kernels
-/// iterate, per-shard coin/address tiles, per-shard traffic buffers.
+/// column, per-part counting rows, the holder list the batched hop kernels
+/// iterate, and one hop scratch (coin/address tiles, traffic) per part.
 /// Hoisted out of the engine so a serving loop stepping one round at a time
 /// (Session::Step(1)) pays the O(shards * n) allocation once per session
 /// instead of once per call; buffer sizing is idempotent, so the steady
@@ -109,11 +112,12 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
 /// per concurrently executing exchange.
 class ExchangeWorkspace {
  public:
-  ExchangeWorkspace() = default;
+  ExchangeWorkspace();
+  ~ExchangeWorkspace();
   ExchangeWorkspace(const ExchangeWorkspace&) = delete;
   ExchangeWorkspace& operator=(const ExchangeWorkspace&) = delete;
-  ExchangeWorkspace(ExchangeWorkspace&&) = default;
-  ExchangeWorkspace& operator=(ExchangeWorkspace&&) = default;
+  ExchangeWorkspace(ExchangeWorkspace&&) noexcept;
+  ExchangeWorkspace& operator=(ExchangeWorkspace&&) noexcept;
 
   /// Heap footprint of the scratch buffers (benches report this; the
   /// dominant terms are the ~8 B/user partner store, the 4 B/report
@@ -127,20 +131,15 @@ class ExchangeWorkspace {
 
   ReportStore next_;              // double-buffer scatter partner
   std::vector<uint32_t> dests_;   // per-slot destination, then claimed slot
-  std::vector<uint32_t> counts_;  // shards x n counting/cursor rows
-  std::vector<size_t> bounds_;    // shard user boundaries (shards + 1)
+  std::vector<uint32_t> counts_;  // parts x n counting/cursor rows
+  std::vector<uint32_t> bounds_;  // part user boundaries (parts + 1)
   // The round's holder list: users holding >= 1 report (ascending) and
   // where each one's arena run begins, plus a sentinel entry — the
   // branch-free iteration structure of the batched hop (DESIGN.md §4e).
   std::vector<uint32_t> holder_v_;     // holder user ids (n + 1)
   std::vector<uint32_t> holder_b_;     // holder arena-run starts (n + 1)
-  std::vector<size_t> holder_start_;   // per-shard holder slices (shards + 1)
-  std::vector<std::vector<uint64_t>> coins_;  // per-shard coin tiles
-  std::vector<std::vector<const NodeId*>> addrs_;  // per-shard address tiles
-  std::vector<std::vector<uint64_t>> streams_;  // per-shard stream-seed tiles
-  std::vector<std::vector<uint64_t>> firsts_;   // per-shard first-word tiles
-  std::vector<std::vector<uint32_t>> multi_;    // per-shard multi-holder list
-  std::vector<std::vector<std::pair<NodeId, uint64_t>>> traffic_;
+  std::vector<size_t> holder_start_;   // per-part holder slices (parts + 1)
+  std::vector<engine_internal::HopScratch> hop_;  // per-part hop scratch
 };
 
 /// Typed pre-flight check for the exchange entry points below; they fatal on

@@ -12,19 +12,6 @@ namespace netshuffle {
 
 namespace {
 
-// Contiguous ownership map: shard s owns users [s*n/S, (s+1)*n/S) — the
-// same formula the serial engine uses for its scheduling shards, so the
-// "ascending shard ranges = ascending users" placement argument carries
-// over verbatim.
-std::vector<uint32_t> ShardBounds(size_t n, size_t shards) {
-  std::vector<uint32_t> bounds(shards + 1);
-  for (size_t s = 0; s <= shards; ++s) {
-    // ns-lint: allow(narrow32): s*n/shards <= n, and n is a u32 NodeId count
-    bounds[s] = static_cast<uint32_t>(s * n / shards);
-  }
-  return bounds;
-}
-
 /// Owner of user d under `bounds`.  The arithmetic guess d*S/n is within
 /// one of the floor-division bounds; the fixup loops run at most once.
 size_t ShardOf(uint32_t d, size_t n, size_t shards,
@@ -43,9 +30,8 @@ struct ShardedRun {
   const Graph* g = nullptr;
   const ExchangeOptions* options = nullptr;
   const uint32_t* global_offsets = nullptr;  // prior CSR, n + 1 entries
-  const ReportId* global_arena = nullptr;    // prior arena, `total` entries
+  const ReportId* global_arena = nullptr;    // prior arena
   size_t n = 0;
-  size_t total = 0;
   size_t shards = 0;
   std::vector<uint32_t> bounds;
 };
@@ -57,11 +43,11 @@ struct WorkerStats {
   uint64_t cross_bytes = 0;
 };
 
-/// The shard worker body: options.rounds rounds of hop -> coalesce ->
-/// exchange -> counting-sort scatter over this shard's user range, then one
-/// kResult frame with the final local state.  Every Send/Recv failure
-/// propagates as the typed Status RunShardWorkers turns into the run's
-/// kTransportError.
+/// The shard worker body: options.rounds rounds of the serial engine's
+/// round phases (engine_internal.h) over this shard's user range, with
+/// coalesce -> exchange between hop and prefix, then one kResult frame with
+/// the final local state.  Every Send/Recv failure propagates as the typed
+/// Status RunShardWorkers turns into the run's kTransportError.
 Status ShardWorkerBody(const ShardedRun& run, size_t s, Endpoint& ep) {
   const Graph& g = *run.g;
   const ExchangeOptions& options = *run.options;
@@ -80,27 +66,22 @@ Status ShardWorkerBody(const ShardedRun& run, size_t s, Endpoint& ep) {
     offsets[u] = run.global_offsets[lo + u] - base;
   }
 
-  // Scratch mirroring the serial engine's workspace, but local-sized where
-  // possible.  hop_count is the one global-sized row: the hop kernel's
-  // histogram contract spans all n destinations (the row is scratch here —
-  // routing uses the per-(source shard, local user) rows below).
-  std::vector<uint32_t> holder_v(ln + 2), holder_b(ln + 2);
-  std::vector<uint32_t> hop_count(run.n);
+  // Part-sized scratch: the holder list (global user ids, local arena
+  // offsets), one count/cursor row over the local users, and the next CSR.
+  // The hop runs without a histogram — routing counts what arrives, below —
+  // so nothing here is sized by the global n.
+  std::vector<uint32_t> holder_v(ln + 1), holder_b(ln + 1);
+  std::vector<uint32_t> counts(ln), next_offsets(ln + 1);
+  size_t num_holders = engine_internal::BuildHolderList(
+      offsets.data(), lo, ln, holder_v.data(), holder_b.data());
   std::vector<uint32_t> dests;
-  std::vector<uint64_t> streams(engine_internal::kHopTileHolders);
-  std::vector<uint64_t> firsts(engine_internal::kHopTileHolders);
-  std::vector<uint32_t> multi(engine_internal::kHopTileHolders);
-  std::vector<uint64_t> coins;
-  std::vector<const NodeId*> addrs;
-  std::vector<std::pair<NodeId, uint64_t>> traffic;
+  engine_internal::HopScratch hop;
 
   // Per-destination-shard outgoing batches and the matching incoming ones;
   // slot s holds the shard's own (never-sent) batch so the scatter below
   // can walk source shards 0..S-1 uniformly.
   std::vector<std::vector<uint32_t>> out_ids(shards), out_dests(shards);
   std::vector<std::vector<uint32_t>> in_ids(shards), in_dests(shards);
-  std::vector<uint32_t> counts(shards * ln);
-  std::vector<uint32_t> next_offsets(ln + 1);
   std::vector<ReportId> next_arena;
 
   std::vector<uint64_t> user_traffic;
@@ -121,29 +102,13 @@ Status ShardWorkerBody(const ShardedRun& run, size_t s, Endpoint& ep) {
     const size_t round = options.first_round + step;
     const uint32_t held = offsets[ln];
 
-    // Holder list over the local range (global user ids, local arena
-    // offsets) — branch-free build, sentinel-terminated, exactly the
-    // structure the hop kernel iterates in the serial engine.
-    size_t num_holders = 0;
-    for (size_t u = 0; u < ln; ++u) {
-      // ns-lint: allow(narrow32): u < ln <= n, a u32 NodeId count
-      holder_v[num_holders] = lo + static_cast<uint32_t>(u);
-      holder_b[num_holders] = offsets[u];
-      num_holders += (offsets[u + 1] > offsets[u]) ? 1 : 0;
-    }
-    // ns-lint: allow(narrow32): n is a u32 NodeId count (sentinel value)
-    holder_v[num_holders] = static_cast<uint32_t>(run.n);  // sentinel
-    holder_b[num_holders] = held;
-
-    // Local hop: the PR 7 batched kernel, unmodified.  Destinations are
+    // Local hop: the serial engine's kernel, unmodified.  Destinations are
     // global user ids; draws come from per-(seed, round, user) streams, so
     // they cannot depend on the shard partition.
     dests.resize(held);
-    engine_internal::HopShard(g, options, round, 0, num_holders,
-                              holder_v.data(), holder_b.data(),
-                              hop_count.data(), run.n, dests.data(),
-                              streams.data(), firsts.data(), multi.data(),
-                              &coins, &addrs, &traffic);
+    engine_internal::HopShard(g, options, round, holder_v.data(),
+                              holder_b.data(), 0, num_holders, dests.data(),
+                              /*count=*/nullptr, &hop);
 
     // Coalesce: one (ids, dests) batch per destination shard, in local
     // arena order — the order half of the bit-identity argument.
@@ -196,52 +161,39 @@ Status ShardWorkerBody(const ShardedRun& run, size_t s, Endpoint& ep) {
       if (!st.ok()) return st;
     }
 
-    // Counting sort of the received batches, mirroring the serial prefix
-    // pass: per-(source shard, local destination) loads, one running sum
-    // visiting source shards ascending within each destination, then the
-    // unmodified scatter kernel per source batch.  Destinations are rebased
-    // to local indices in the counting pass (the scatter kernel's cursor
-    // row is local-sized).
+    // Per-destination loads of the received batches, rebasing destinations
+    // to local indices (the cursor row is local-sized); then the serial
+    // engine's prefix and scatter phases.  One cursor row serves every
+    // source batch: scattering them in ascending source-shard order fills
+    // each destination's slice in ascending (source shard, position) order,
+    // the canonical layout.
     std::fill(counts.begin(), counts.end(), 0u);
     for (size_t q = 0; q < shards; ++q) {
-      uint32_t* row = counts.data() + q * ln;
-      std::vector<uint32_t>& batch_dests = in_dests[q];
-      for (size_t j = 0; j < batch_dests.size(); ++j) {
-        const uint32_t dd = batch_dests[j];
+      for (uint32_t& dd : in_dests[q]) {
         if (dd < lo || dd >= hi) {
           return wire::TransportError(
               "shard " + std::to_string(s) + " received report for user " +
               std::to_string(dd) + " outside its range");
         }
-        const uint32_t dl = dd - lo;
-        batch_dests[j] = dl;
-        ++row[dl];
+        dd -= lo;
+        ++counts[dd];
       }
     }
-    uint32_t run_sum = 0;
-    for (size_t u = 0; u < ln; ++u) {
-      next_offsets[u] = run_sum;
-      for (size_t q = 0; q < shards; ++q) {
-        uint32_t& slot = counts[q * ln + u];
-        const uint32_t load = slot;
-        slot = run_sum;
-        run_sum += load;
-      }
-    }
-    next_offsets[ln] = run_sum;
-    next_arena.resize(run_sum);
+    num_holders = engine_internal::PrefixCursors(
+        counts.data(), 1, ln, lo, next_offsets.data(), holder_v.data(),
+        holder_b.data());
+    next_arena.resize(next_offsets[ln]);
     for (size_t q = 0; q < shards; ++q) {
       // ns-lint: allow(narrow32): a batch holds at most n u32 report ids
       engine_internal::ScatterShard(
-          counts.data() + q * ln, 0,
-          static_cast<uint32_t>(in_ids[q].size()), in_dests[q].data(),
-          in_ids[q].data(), next_arena.data());
+          counts.data(), 0, static_cast<uint32_t>(in_ids[q].size()),
+          in_dests[q].data(), in_ids[q].data(), next_arena.data());
     }
     arena.swap(next_arena);
     offsets.swap(next_offsets);
 
     if (want_metrics) {
-      for (const std::pair<NodeId, uint64_t>& t : traffic) {
+      for (const std::pair<NodeId, uint64_t>& t : hop.traffic) {
         user_traffic[t.first - lo] += t.second;
       }
       for (size_t u = 0; u < ln; ++u) {
@@ -281,14 +233,8 @@ Status ShardedResumeExchange(const Graph& g, ExchangeResult* state,
                              const ExchangeOptions& options,
                              const ShardedOptions& sharded,
                              ShardedStats* stats) {
-  const Status valid = ValidateExchangeOptions(options);
-  if (!valid.ok()) NETSHUFFLE_FATAL(valid.ToString());
-  if (options.first_round != state->rounds) {
-    NETSHUFFLE_FATAL("ShardedResumeExchange: options.first_round (" +
-                     std::to_string(options.first_round) +
-                     ") must equal the rounds already executed (" +
-                     std::to_string(state->rounds) + ")");
-  }
+  engine_internal::CheckResumeContract("ShardedResumeExchange", options,
+                                       state->rounds);
   if (state->holdings.hosted()) {
     // The out-of-core tier (mmap-hosted stores) and the multi-process tier
     // are separate scaling axes; Session::Validate reports the combination
@@ -305,18 +251,15 @@ Status ShardedResumeExchange(const Graph& g, ExchangeResult* state,
   // One shard over the in-process transport IS the serial engine — no
   // workers, no frames, no copies.  The seam costs nothing when unused
   // (pinned within 5% by the bench gate).  A single process-transport
-  // shard still forks its worker, exercising the relay end to end.
-  if (shards <= 1 && sharded.transport == TransportKind::kLoopback) {
+  // shard still forks its worker, exercising the relay end to end; an
+  // empty population has nothing to fork for on either transport.
+  if (n == 0 ||
+      (shards <= 1 && sharded.transport == TransportKind::kLoopback)) {
     if (stats != nullptr) {
       stats->shards = 1;
       stats->rounds += options.rounds;
     }
     *state = ResumeExchange(g, std::move(*state), options);
-    return Status::Ok();
-  }
-
-  if (n == 0) {
-    state->rounds += options.rounds;
     return Status::Ok();
   }
 
@@ -329,9 +272,8 @@ Status ShardedResumeExchange(const Graph& g, ExchangeResult* state,
   run.global_offsets = state->holdings.offsets_data();
   run.global_arena = state->holdings.arena_data();
   run.n = n;
-  run.total = total;
   run.shards = shards;
-  run.bounds = ShardBounds(n, shards);
+  engine_internal::PartitionUsers(n, shards, &run.bounds);
 
   Expected<std::vector<Bytes>> worker_results = RunShardWorkers(
       sharded.transport, shards, [&run](size_t s, Endpoint& ep) {

@@ -1,12 +1,13 @@
 // Multi-worker sharded exchange (DESIGN.md §11): the serial engine's rounds,
 // partitioned across N workers that each own a contiguous user range
 // [bounds[s], bounds[s+1]) and the matching contiguous slice of the report
-// arena.  Per round, every worker runs the UNMODIFIED batched hop kernel of
-// shuffle/engine_internal.h over its local holders, coalesces the resulting
-// (report id, destination) pairs into ONE wire.h batch per destination shard
-// — messages per round is shards^2, independent of the report count — ships
-// them over the transport seam (shuffle/transport.h), and counting-sorts
-// what it received into its next local arena slice.
+// arena.  Per round, every worker runs the serial engine's round phases
+// (shuffle/engine_internal.h) over its part: the hop over its local holders,
+// then — between hop and prefix — it coalesces the resulting (report id,
+// destination) pairs into ONE wire.h batch per destination shard (messages
+// per round is shards^2, independent of the report count) and ships them
+// over the transport seam (shuffle/transport.h); the prefix and scatter
+// phases then sort what it received into its next local arena slice.
 //
 // Bit-identity contract: for any shard count and either transport, the
 // final (origin, payload, holder) state is byte-identical to the serial

@@ -1,16 +1,15 @@
 // The index-routed exchange (shuffle/store.h ReportId arena + counting-sort
 // routing over a columnar shuffle/payload.h PayloadArena) must be
-// ELEMENT-IDENTICAL to the legacy engine that physically scattered full
-// report structs: same per-(seed, round, user) RNG streams, same canonical
-// ascending-sender order inside every destination's slice, and — after
-// mapping each routed id through the arena — the same (origin, payload
-// bytes, holder) triples.  A serial reference implementation of the legacy
-// schedule (routing whole structs with variable-length payload bytes) lives
-// in this test and is compared element-by-element against the id-routed
-// engine at NS_THREADS 1 and 4 (and a resumed Start/Resume split), with and
-// without faults — under BOTH storage backends (DESIGN.md §9): the heap
-// default and the file-backed mmap tier, whose mapped columns must be
-// bit-identical to the in-RAM run at every thread count.
+// ELEMENT-IDENTICAL to the protocol's serial schedule: same per-(seed,
+// round, user) RNG streams, same canonical ascending-sender order inside
+// every destination's slice, and — after mapping each routed id through the
+// arena — the same (origin, payload bytes, holder) triples.  The engine is
+// compared element-by-element against the scalar reference
+// (tests/reference_exchange.h) at NS_THREADS 1 and 4 (and a resumed
+// Start/Resume split), with and without faults — under BOTH storage
+// backends (DESIGN.md §9): the heap default and the file-backed mmap tier,
+// whose mapped columns must be bit-identical to the in-RAM run at every
+// thread count.
 //
 // Also: ReportStore unit checks, and an NS_SCALE-gated 10^6-node smoke test
 // pinning the routing buffers' per-user memory bound (~8 bytes/user since
@@ -26,109 +25,21 @@
 #include "shuffle/backend.h"
 #include "shuffle/engine.h"
 #include "shuffle/fault.h"
-#include "shuffle/payload.h"
+#include "tests/reference_exchange.h"
 #include "tests/test_util.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
 using namespace netshuffle;
+using namespace netshuffle_test;
 
 namespace {
-
-// What the legacy engine physically routed: the full report, origin and
-// payload bytes together.
-struct LegacyReport {
-  NodeId origin;
-  Bytes payload;
-};
-
-// Variable-length patterned payload for user u: (u % 5) bytes, so slices
-// differ in size AND content across users (several users share a length,
-// none share bytes).
-Bytes PatternPayload(NodeId u) {
-  Bytes b;
-  for (size_t i = 0; i < u % 5; ++i) {
-    b.push_back(static_cast<uint8_t>((u * 31 + i * 7) & 0xff));
-  }
-  return b;
-}
-
-// A heap arena, or a file-backed one streaming onto `backend` (the backend
-// axis: same pattern rows, different storage tier).
-PayloadArena PatternArena(size_t n,
-                          const std::shared_ptr<StorageBackend>& backend) {
-  PayloadArena arena;
-  if (backend != nullptr) {
-    Expected<PayloadArena> hosted = PayloadArena::Hosted(backend);
-    CHECK(hosted.ok());
-    arena = std::move(hosted).value();
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    const Bytes payload = PatternPayload(u);
-    CHECK(arena.Append(u, payload) == u);
-  }
-  return arena;
-}
-
-// The legacy engine's serial schedule, verbatim: per round, users in
-// ascending order draw one stream per (seed, round, user) — the Awake coin
-// first, then one destination per held report in holding order — and every
-// destination list is appended in ascending sender order.  It routes the
-// full (origin, payload bytes) struct, exactly what the pre-index-routing
-// engine moved every round.
-std::vector<std::vector<LegacyReport>> LegacyExchange(
-    const Graph& g, size_t rounds, uint64_t seed, const FaultModel* faults) {
-  const size_t n = g.num_nodes();
-  std::vector<std::vector<LegacyReport>> holdings(n);
-  for (NodeId u = 0; u < n; ++u) {
-    holdings[u].push_back(LegacyReport{u, PatternPayload(u)});
-  }
-  for (size_t round = 0; round < rounds; ++round) {
-    std::vector<std::vector<LegacyReport>> next(n);
-    for (NodeId u = 0; u < n; ++u) {
-      const auto& held = holdings[u];
-      if (held.empty()) continue;
-      Rng rng(HashCombine(seed, HashCombine(static_cast<uint64_t>(round), u)));
-      const size_t deg = g.degree(u);
-      const bool awake =
-          faults == nullptr || faults->Awake(u, round, &rng);
-      if (!awake || deg == 0) {
-        for (const LegacyReport& r : held) next[u].push_back(r);
-        continue;
-      }
-      for (const LegacyReport& r : held) {
-        const NodeId dest = g.neighbors_begin(u)[rng.UniformInt(deg)];
-        next[dest].push_back(r);
-      }
-    }
-    holdings.swap(next);
-  }
-  return holdings;
-}
-
-// Maps every routed id through the arena and compares (origin, payload
-// bytes) element-by-element per holder against the legacy schedule.
-void CheckElementIdentical(const ExchangeResult& ex,
-                           const std::vector<std::vector<LegacyReport>>&
-                               legacy) {
-  const ReportStore& flat = ex.holdings;
-  const PayloadArena& arena = *ex.payloads;
-  CHECK(flat.num_users() == legacy.size());
-  for (NodeId u = 0; u < legacy.size(); ++u) {
-    const ReportSpan span = flat.reports(u);
-    CHECK(span.size() == legacy[u].size());
-    for (size_t i = 0; i < span.size(); ++i) {
-      const ReportId id = span[i];
-      CHECK(arena.origin(id) == legacy[u][i].origin);
-      CHECK(arena.payload(id).ToBytes() == legacy[u][i].payload);
-    }
-  }
-}
 
 void CheckEquivalence(const Graph& g, size_t rounds, uint64_t seed,
                       const FaultModel* faults,
                       const std::shared_ptr<StorageBackend>& mmap_backend) {
-  const auto legacy = LegacyExchange(g, rounds, seed, faults);
+  std::vector<std::vector<ReportId>> ref = ReferenceInit(g.num_nodes());
+  for (size_t r = 0; r < rounds; ++r) ReferenceRound(g, r, seed, faults, &ref);
   // Backend axis: the file-backed tier must route to the same slots as the
   // heap tier — the kernels see raw pointers either way.
   for (const std::shared_ptr<StorageBackend>& backend :
@@ -142,7 +53,7 @@ void CheckEquivalence(const Graph& g, size_t rounds, uint64_t seed,
       ExchangeResult whole = ResumeExchange(
           g, StartExchange(g, PatternArena(g.num_nodes(), backend)), opts);
       CHECK(whole.holdings.hosted() == (backend != nullptr));
-      CheckElementIdentical(whole, legacy);
+      CheckIdentical(whole, ref);
 
       // A resumed split must replay the identical coin schedule.
       ExchangeResult split =
@@ -154,7 +65,7 @@ void CheckEquivalence(const Graph& g, size_t rounds, uint64_t seed,
       rest.rounds = rounds - first.rounds;
       rest.first_round = first.rounds;
       if (rest.rounds > 0) split = ResumeExchange(g, std::move(split), rest);
-      CheckElementIdentical(split, legacy);
+      CheckIdentical(split, ref);
     }
   }
   SetThreadCount(0);
@@ -199,7 +110,7 @@ int main() {
     }
   }
 
-  // ---- Index-routed vs legacy element identity ----------------------------
+  // ---- Index-routed vs reference element identity -------------------------
   Rng rng(11);
   const Graph regular = MakeRandomRegular(400, 6, &rng);
   const Graph skewed = MakeBarabasiAlbert(300, 3, &rng);

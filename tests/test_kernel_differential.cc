@@ -4,8 +4,8 @@
 // destination per held report in holding order — and every destination's
 // slice is filled in ascending sender order.  The batched path (tiled coin
 // columns, degree-class dispatch, prefetched claim/place scatter) must
-// reproduce that contract BIT-IDENTICALLY, so this test keeps the obvious
-// scalar schedule in-tree as the reference and pins the engine against it
+// reproduce that contract BIT-IDENTICALLY, so this test pins the engine
+// against the obvious scalar schedule (tests/reference_exchange.h)
 // element-by-element, every round, over randomized graph shapes:
 //
 //   - k-regular for k in {2, 3, 4, 8, 16, 20} (pow2 and general degree
@@ -35,92 +35,15 @@
 #include "shuffle/backend.h"
 #include "shuffle/engine.h"
 #include "shuffle/fault.h"
-#include "shuffle/payload.h"
+#include "tests/reference_exchange.h"
 #include "tests/test_util.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
 using namespace netshuffle;
+using namespace netshuffle_test;
 
 namespace {
-
-// Variable-length patterned payloads: (u % 5) bytes, content keyed on u, so
-// an id swapped for a neighbor's would change both the origin column and the
-// payload bytes the comparison reads back.
-Bytes PatternPayload(NodeId u) {
-  Bytes b;
-  for (size_t i = 0; i < u % 5; ++i) {
-    b.push_back(static_cast<uint8_t>((u * 131 + i * 17) & 0xff));
-  }
-  return b;
-}
-
-// The backend under test for the current axis iteration: null = heap,
-// non-null = file-backed on that backend (tests/test_flat_store.cc uses the
-// same convention).
-PayloadArena PatternArena(size_t n,
-                          const std::shared_ptr<StorageBackend>& backend) {
-  PayloadArena arena;
-  if (backend != nullptr) {
-    Expected<PayloadArena> hosted = PayloadArena::Hosted(backend);
-    CHECK(hosted.ok());
-    arena = std::move(hosted).value();
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    CHECK(arena.Append(u, PatternPayload(u)) == u);
-  }
-  return arena;
-}
-
-// The scalar reference schedule, kept deliberately naive: users in ascending
-// order, one fresh Rng per (seed, round, user), the Awake coin before any
-// destination draw, one UniformInt(degree) per held report in holding order,
-// push_back into per-destination vectors.  Ascending-u push order IS the
-// engine's canonical ascending-(shard, sender) placement for contiguous
-// shards, so the two layouts must match slot for slot.
-std::vector<std::vector<ReportId>> ReferenceInit(size_t n) {
-  std::vector<std::vector<ReportId>> holdings(n);
-  for (NodeId u = 0; u < n; ++u) holdings[u].push_back(u);
-  return holdings;
-}
-
-void ReferenceRound(const Graph& g, size_t round, uint64_t seed,
-                    const FaultModel* faults,
-                    std::vector<std::vector<ReportId>>* holdings) {
-  const size_t n = g.num_nodes();
-  std::vector<std::vector<ReportId>> next(n);
-  for (NodeId u = 0; u < n; ++u) {
-    const std::vector<ReportId>& held = (*holdings)[u];
-    if (held.empty()) continue;
-    Rng rng(ExchangeStreamSeed(seed, round, u));
-    const size_t deg = g.degree(u);
-    const bool awake = faults == nullptr || faults->Awake(u, round, &rng);
-    if (!awake || deg == 0) {
-      for (ReportId id : held) next[u].push_back(id);
-      continue;
-    }
-    const NodeId* nbr = g.neighbors_begin(u);
-    for (ReportId id : held) next[nbr[rng.UniformInt(deg)]].push_back(id);
-  }
-  holdings->swap(next);
-}
-
-// Element-identical: same id in every slot of every user's slice, and the
-// id resolves to the same (origin, payload bytes) through the arena.
-void CheckIdentical(const ExchangeResult& ex,
-                    const std::vector<std::vector<ReportId>>& ref) {
-  CHECK(ex.holdings.num_users() == ref.size());
-  const PayloadArena& arena = *ex.payloads;
-  for (NodeId u = 0; u < ref.size(); ++u) {
-    const ReportSpan span = ex.holdings.reports(u);
-    CHECK(span.size() == ref[u].size());
-    for (size_t i = 0; i < span.size(); ++i) {
-      CHECK(span[i] == ref[u][i]);
-      CHECK(arena.origin(span[i]) == ref[u][i]);
-      CHECK(arena.payload(span[i]).ToBytes() == PatternPayload(ref[u][i]));
-    }
-  }
-}
 
 // One differential case: step the engine round-by-round (rounds = 1,
 // first_round = r) through the SHARED persistent workspace, checking
@@ -165,12 +88,6 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
   SetThreadCount(0);
   std::printf("ok: %-28s n=%zu rounds=%zu faults=%s\n", name, n, rounds,
               faults != nullptr ? "yes" : "no");
-}
-
-Graph MakeStar(size_t n) {
-  std::vector<Edge> edges;
-  for (NodeId leaf = 1; leaf < n; ++leaf) edges.push_back({0, leaf});
-  return Graph::FromEdges(n, std::move(edges));
 }
 
 }  // namespace

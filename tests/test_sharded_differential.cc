@@ -3,15 +3,15 @@
 // (origin, payload, holder) state must be BIT-IDENTICAL to the serial
 // engine — which tests/test_kernel_differential.cc in turn pins against the
 // naive scalar schedule.  This test closes the chain end-to-end: the scalar
-// reference is recomputed here and the sharded engine is compared against
-// it element-by-element, over
+// reference (tests/reference_exchange.h) is recomputed here and the sharded
+// engine is compared against it element-by-element, over
 //
 //   NS_SHARDS-style worker counts {1, 2, 4} (1 + loopback is the
 //   delegation fast path — the seam must be free when unused),
 //   x thread counts {1, 4} (shard partitioning and thread partitioning are
 //     independent axes; neither may leak into placement),
 //   x graph shapes {k-regular, Barabasi-Albert, star, isolated users,
-//     tiny n < shards (the clamp), n == 1},
+//     tiny n < shards (the clamp), n == 1, n == 0},
 //   x fault schedules {none, LazyFaultModel} (Awake coins shift every
 //     subsequent draw of the per-user stream),
 //   x BOTH transports (loopback threads and forked process workers carry
@@ -38,81 +38,15 @@
 #include "shuffle/payload.h"
 #include "shuffle/sharded.h"
 #include "shuffle/transport.h"
+#include "tests/reference_exchange.h"
 #include "tests/test_util.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
 using namespace netshuffle;
+using namespace netshuffle_test;
 
 namespace {
-
-// Variable-length patterned payloads, same convention as
-// tests/test_kernel_differential.cc: (u % 5) bytes keyed on u, so a report
-// swapped for a neighbor's changes both the origin column and the payload
-// bytes the comparison reads back.
-Bytes PatternPayload(NodeId u) {
-  Bytes b;
-  for (size_t i = 0; i < u % 5; ++i) {
-    b.push_back(static_cast<uint8_t>((u * 131 + i * 17) & 0xff));
-  }
-  return b;
-}
-
-PayloadArena PatternArena(size_t n) {
-  PayloadArena arena;
-  for (NodeId u = 0; u < n; ++u) {
-    CHECK(arena.Append(u, PatternPayload(u)) == u);
-  }
-  return arena;
-}
-
-// The naive scalar reference schedule (identical to the one pinned by
-// tests/test_kernel_differential.cc): ascending users, one fresh Rng per
-// (seed, round, user), Awake coin first, one UniformInt(degree) per held
-// report in holding order, push_back in ascending-sender order.
-std::vector<std::vector<ReportId>> ReferenceInit(size_t n) {
-  std::vector<std::vector<ReportId>> holdings(n);
-  for (NodeId u = 0; u < n; ++u) holdings[u].push_back(u);
-  return holdings;
-}
-
-void ReferenceRound(const Graph& g, size_t round, uint64_t seed,
-                    const FaultModel* faults,
-                    std::vector<std::vector<ReportId>>* holdings) {
-  const size_t n = g.num_nodes();
-  std::vector<std::vector<ReportId>> next(n);
-  for (NodeId u = 0; u < n; ++u) {
-    const std::vector<ReportId>& held = (*holdings)[u];
-    if (held.empty()) continue;
-    Rng rng(ExchangeStreamSeed(seed, round, u));
-    const size_t deg = g.degree(u);
-    const bool awake = faults == nullptr || faults->Awake(u, round, &rng);
-    if (!awake || deg == 0) {
-      for (ReportId id : held) next[u].push_back(id);
-      continue;
-    }
-    const NodeId* nbr = g.neighbors_begin(u);
-    for (ReportId id : held) next[nbr[rng.UniformInt(deg)]].push_back(id);
-  }
-  holdings->swap(next);
-}
-
-// Element-identical: same id in every slot of every user's slice, resolving
-// to the same (origin, payload bytes) through the arena.
-void CheckIdentical(const ExchangeResult& ex,
-                    const std::vector<std::vector<ReportId>>& ref) {
-  CHECK(ex.holdings.num_users() == ref.size());
-  const PayloadArena& arena = *ex.payloads;
-  for (NodeId u = 0; u < ref.size(); ++u) {
-    const ReportSpan span = ex.holdings.reports(u);
-    CHECK(span.size() == ref[u].size());
-    for (size_t i = 0; i < span.size(); ++i) {
-      CHECK(span[i] == ref[u][i]);
-      CHECK(arena.origin(span[i]) == ref[u][i]);
-      CHECK(arena.payload(span[i]).ToBytes() == PatternPayload(ref[u][i]));
-    }
-  }
-}
 
 void CheckMetricsEqual(const ShuffleMetrics& a, const ShuffleMetrics& b) {
   CHECK(a.max_user_traffic() == b.max_user_traffic());
@@ -238,12 +172,6 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
   std::printf("ok: %-16s n=%zu rounds=%zu faults=%s transport=%s\n", name, n,
               rounds, faults != nullptr ? "yes" : "no",
               TransportKindName(transport));
-}
-
-Graph MakeStar(size_t n) {
-  std::vector<Edge> edges;
-  for (NodeId leaf = 1; leaf < n; ++leaf) edges.push_back({0, leaf});
-  return Graph::FromEdges(n, std::move(edges));
 }
 
 // Session-level integration: a SetShards(2) session must step and finalize
@@ -377,6 +305,13 @@ int main() {
     {
       const Graph g = Graph::FromEdges(1, {});
       RunCase("single-user", g, /*rounds=*/3, meta.Next(), nullptr, transport);
+    }
+    // Empty population: nothing to route or fork for, but the rounds and
+    // the stats accumulate exactly as on every other path.  Fixed seed, so
+    // the meta stream of the cases above is the same on both transports.
+    {
+      const Graph g = Graph::FromEdges(0, {});
+      RunCase("empty-n0", g, /*rounds=*/3, /*seed=*/1, nullptr, transport);
     }
   }
 
