@@ -37,11 +37,13 @@ size_t ShuffleMetrics::max_user_memory() const {
 
 namespace {
 
-// Upper bound on the number of routing shards.  Shard count is
-// scheduling-only (results are bit-identical at any value), but each shard
-// owns a full n-entry row of the counting table, so the cap bounds that
-// table at 128 bytes/user even under extreme NS_THREADS settings.
+// Upper bound on the number of routing parts.  Part count is
+// scheduling-only (results are bit-identical at any value), but the move
+// step hands over a parts x parts table of batches and every arriving part
+// scans it for its base slot, so the cap bounds that table and scan even
+// under extreme NS_THREADS settings.
 constexpr size_t kMaxRoutingShards = 32;
+static_assert(kMaxRoutingShards <= engine_internal::kMaxBucketParts);
 
 // Holders per hop tile (DESIGN.md §4e): each shard processes this many
 // holders' coins before mapping them to destinations, so the coin column,
@@ -61,51 +63,37 @@ constexpr uint32_t kCoinTile = 4096;
 // exposed).
 constexpr uint32_t kPrefetchAhead = 40;
 
-// Dereference the per-tile neighbor addresses into the dest column and,
-// given a count row, histogram them into it — the only pass of the hop that
-// touches random adjacency lines.  The AVX-512 body gathers 8 lines per
-// instruction, widening the out-of-order miss window far beyond what the
-// scalar loop's speculation reaches; the histogram increments then hit in
-// registers/L1.  Bit-identical to the scalar tail by construction.
+// Dereference the per-tile neighbor addresses into the dest column — the
+// only pass of the hop that touches random adjacency lines.  The AVX-512
+// body gathers 8 lines per instruction, widening the out-of-order miss
+// window far beyond what the scalar loop's speculation reaches.
+// Bit-identical to the scalar tail by construction.
 #if NETSHUFFLE_ENGINE_AVX512
-__attribute__((target("avx512f"))) void DerefHistAvx512(
+__attribute__((target("avx512f"))) void DerefAvx512(
     const NodeId* const* addrs, uint32_t base, uint32_t end_off,
-    uint32_t* dests, uint32_t* count) {
+    uint32_t* dests) {
   uint32_t i = base;
   for (; i + 8 <= end_off; i += 8) {
     const __m512i a = _mm512_loadu_si512(addrs + (i - base));
-    const __m256i d8 = _mm512_i64gather_epi32(a, nullptr, 1);
-    // ns-lint: allow(wire): SIMD register stores into local uint32 rows —
-    // intrinsic-mandated pointer casts, nothing serialized
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dests + i), d8);
-    if (count == nullptr) continue;
-    alignas(32) uint32_t d[8];
-    // ns-lint: allow(wire): intrinsic-mandated register-store cast (above)
-    _mm256_store_si256(reinterpret_cast<__m256i*>(d), d8);
-    for (int j = 0; j < 8; ++j) ++count[d[j]];
+    // ns-lint: allow(wire): SIMD register store into a local uint32 row —
+    // an intrinsic-mandated pointer cast, nothing serialized
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dests + i),
+                        _mm512_i64gather_epi32(a, nullptr, 1));
   }
-  for (; i < end_off; ++i) {
-    const uint32_t d = *addrs[i - base];
-    dests[i] = d;
-    if (count != nullptr) ++count[d];
-  }
+  for (; i < end_off; ++i) dests[i] = *addrs[i - base];
 }
 #endif  // NETSHUFFLE_ENGINE_AVX512
 
-void DerefHist(const NodeId* const* addrs, uint32_t base, uint32_t end_off,
-               uint32_t* dests, uint32_t* count) {
+void Deref(const NodeId* const* addrs, uint32_t base, uint32_t end_off,
+           uint32_t* dests) {
 #if NETSHUFFLE_ENGINE_AVX512
   static const bool kHasAvx512 = __builtin_cpu_supports("avx512f");
   if (kHasAvx512) {
-    DerefHistAvx512(addrs, base, end_off, dests, count);
+    DerefAvx512(addrs, base, end_off, dests);
     return;
   }
 #endif
-  for (uint32_t i = base; i < end_off; ++i) {
-    const uint32_t d = *addrs[i - base];
-    dests[i] = d;
-    if (count != nullptr) ++count[d];
-  }
+  for (uint32_t i = base; i < end_off; ++i) dests[i] = *addrs[i - base];
 }
 
 // Fault-path hop for one shard's holder slice: Awake consumes an unknowable
@@ -117,10 +105,9 @@ void DerefHist(const NodeId* const* addrs, uint32_t base, uint32_t end_off,
 // than fast.
 void FaultHopShard(const Graph& g, const ExchangeOptions& options,
                    size_t round, const uint32_t* holder_v,
-                   const uint32_t* holder_b, size_t h_begin, size_t h_end,
-                   uint32_t* dests, uint32_t* count,
+                   const uint32_t* holder_b, size_t holders, uint32_t* dests,
                    std::vector<std::pair<NodeId, uint64_t>>* traffic) {
-  for (size_t h = h_begin; h < h_end; ++h) {
+  for (size_t h = 0; h < holders; ++h) {
     const NodeId v = holder_v[h];
     const uint32_t b = holder_b[h], e = holder_b[h + 1];
     Rng rng(ExchangeStreamSeed(options.seed, round, v));
@@ -129,17 +116,39 @@ void FaultHopShard(const Graph& g, const ExchangeOptions& options,
     if (!is_awake || deg == 0) {
       // Asleep or isolated: every held report stays put, no draws.
       for (uint32_t i = b; i < e; ++i) dests[i] = v;
-      if (count != nullptr) count[v] += e - b;
       continue;
     }
     const NodeId* nbr = g.neighbors_begin(v);
-    for (uint32_t i = b; i < e; ++i) {
-      const uint32_t d = nbr[rng.UniformInt(deg)];
-      dests[i] = d;
-      if (count != nullptr) ++count[d];
-    }
+    for (uint32_t i = b; i < e; ++i) dests[i] = nbr[rng.UniformInt(deg)];
     if (options.metrics != nullptr) {
       traffic->emplace_back(v, static_cast<uint64_t>(e - b));
+    }
+  }
+}
+
+// One batch's scatter into a destination part: claim every report's slot
+// from the part's cursor row (random read-modify-write, prefetched; the
+// claimed slot overwrites the dest column in place), then place the ids at
+// the claimed slots (random write, prefetched).  Splitting claim from
+// placement is what makes the placement address known kPrefetchAhead
+// iterations early.  Slot assignment is identical to a fused loop.
+void ScatterBatch(uint32_t* cursor, uint32_t first_user,
+                  const engine_internal::Batch& batch, ReportId* next_arena) {
+  uint32_t* dests = batch.dests;
+  for (uint32_t tile = 0; tile < batch.size; tile += kCoinTile) {
+    const uint32_t tile_end = std::min(batch.size, tile + kCoinTile);
+    for (uint32_t i = tile; i < tile_end; ++i) {
+      if (i + kPrefetchAhead < tile_end) {
+        __builtin_prefetch(cursor + (dests[i + kPrefetchAhead] - first_user),
+                           1, 1);
+      }
+      dests[i] = cursor[dests[i] - first_user]++;
+    }
+    for (uint32_t i = tile; i < tile_end; ++i) {
+      if (i + kPrefetchAhead < tile_end) {
+        __builtin_prefetch(next_arena + dests[i + kPrefetchAhead], 1, 0);
+      }
+      next_arena[dests[i]] = batch.ids[i];
     }
   }
 }
@@ -190,16 +199,17 @@ size_t BuildHolderList(const uint32_t* offsets, uint32_t first_user,
   return num_holders;
 }
 
-size_t HopScratch::MemoryBytes() const {
+size_t PartScratch::MemoryBytes() const {
   return (streams.capacity() + firsts.capacity() + coins.capacity()) *
              sizeof(uint64_t) +
          multi.capacity() * sizeof(uint32_t) +
          addrs.capacity() * sizeof(const NodeId*) +
-         traffic.capacity() * sizeof(std::pair<NodeId, uint64_t>);
+         traffic.capacity() * sizeof(std::pair<NodeId, uint64_t>) +
+         (out.capacity() + in.capacity()) * sizeof(Batch);
 }
 
-// One part's hop pass for one round, over its slice of the round's holder
-// list (users with at least one held report, in ascending user order).
+// One part's hop pass for one round, over its holder list (users with at
+// least one held report, in ascending user order).
 // Tile by tile over holders:
 //   A1. stream seeds + first words for every holder in the tile, as one
 //       flat batch (util/rng.h BatchStreamSeeds — AVX-512 when available);
@@ -212,21 +222,18 @@ size_t HopScratch::MemoryBytes() const {
 //       power-of-two degrees, the multiply-shift MapToBound otherwise — and
 //       software-prefetch each address; isolated users' slots point at the
 //       holder id itself (stay-in-place, no draw);
-//   B2. dereference the addresses into destinations and, given a count
-//       row, histogram them into it (DerefHist above).
+//   B2. dereference the addresses into destinations (Deref above).
 // The coin schedule and the per-slice draw order are exactly the scalar
 // engine's, so determinism is untouched (DESIGN.md §4e; pinned by
 // tests/test_kernel_differential.cc).
 void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
               const uint32_t* holder_v, const uint32_t* holder_b,
-              size_t h_begin, size_t h_end, uint32_t* dests, uint32_t* count,
-              HopScratch* scratch) {
-  if (count != nullptr) std::fill(count, count + g.num_nodes(), 0u);
+              size_t holders, uint32_t* dests, PartScratch* scratch) {
   scratch->traffic.clear();
 
   if (options.faults != nullptr) {
-    FaultHopShard(g, options, round, holder_v, holder_b, h_begin, h_end,
-                  dests, count, &scratch->traffic);
+    FaultHopShard(g, options, round, holder_v, holder_b, holders, dests,
+                  &scratch->traffic);
     return;
   }
 
@@ -240,14 +247,14 @@ void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
   uint64_t* const firsts = scratch->firsts.data();
   uint32_t* const multi = scratch->multi.data();
 
-  size_t h0 = h_begin;
-  while (h0 < h_end) {
+  size_t h0 = 0;
+  while (h0 < holders) {
     // Tile boundary: a fixed holder count, so no boundary scan is needed.
     // The tile's report span is usually a small multiple of the holder
     // count (mean holding is ~1 at stationarity); skewed holdings just grow
     // the per-report columns to fit.
     const uint32_t base = holder_b[h0];
-    const size_t h1 = std::min(h0 + kCoinTile, h_end);
+    const size_t h1 = std::min(h0 + kCoinTile, holders);
     const uint32_t end_off = holder_b[h1];
     if (scratch->coins.size() < end_off - base) {
       scratch->coins.resize(std::max<size_t>(end_off - base, kCoinTile));
@@ -315,65 +322,76 @@ void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
       }
     }
 
-    // ---- B2: dereference + histogram.
-    DerefHist(addrs, base, end_off, dests, count);
+    // ---- B2: dereference.
+    Deref(addrs, base, end_off, dests);
 
     h0 = h1;
   }
 }
 
-size_t PrefixCursors(uint32_t* counts, size_t parts, size_t width,
-                     uint32_t first_user, uint32_t* next_offsets,
-                     uint32_t* holder_v, uint32_t* holder_b) {
-  uint32_t run = 0;
-  size_t next_holders = 0;
-  for (size_t v = 0; v < width; ++v) {
-    next_offsets[v] = run;
-    // ns-lint: allow(narrow32): hot kernel; v < width <= n, narrowed at
-    // store allocation.
-    holder_v[next_holders] = first_user + static_cast<uint32_t>(v);
-    holder_b[next_holders] = run;
-    const uint32_t row_start = run;
-    for (size_t c = 0; c < parts; ++c) {
-      uint32_t& slot = counts[c * width + v];
-      const uint32_t load = slot;
-      slot = run;  // part c's first slot inside destination v's slice
-      run += load;
-    }
-    next_holders += (run > row_start) ? 1 : 0;
+// Owner lookup: the multiply-shift guess (d * parts) / n, to 57 fractional
+// bits, is at most one below the owner under the floor-division bounds, and
+// the fixup loops correct it — no 64-bit division per report.  Two passes
+// over the part's reports: count per destination part, then place each
+// (id, dest) pair at its group's cursor, in arena order.
+void BucketPart(const ReportId* ids, uint32_t* dests, uint32_t begin,
+                uint32_t end, const uint32_t* bounds, size_t parts,
+                ReportId* out_ids, uint32_t* out_dests, PartScratch* scratch) {
+  scratch->out.resize(parts);
+  if (parts == 1) {
+    scratch->out[0] = Batch{ids + begin, dests + begin, end - begin};
+    return;
   }
-  next_offsets[width] = run;  // == the part's report count: conserved
-  // ns-lint: allow(narrow32): sentinel; same bound as the loop above.
-  holder_v[next_holders] = first_user + static_cast<uint32_t>(width);
-  holder_b[next_holders] = run;
-  return next_holders;
+  const uint64_t scale = (uint64_t{parts} << 57) / bounds[parts];
+  auto owner = [&](uint32_t d) {
+    size_t q = std::min<size_t>(parts - 1, (d * scale) >> 57);
+    while (d < bounds[q]) --q;
+    while (d >= bounds[q + 1]) ++q;
+    return q;
+  };
+  uint32_t fill[kMaxBucketParts + 1] = {begin};
+  for (uint32_t i = begin; i < end; ++i) ++fill[owner(dests[i]) + 1];
+  for (size_t p = 0; p < parts; ++p) {
+    fill[p + 1] += fill[p];
+    scratch->out[p] =
+        Batch{out_ids + fill[p], out_dests + fill[p], fill[p + 1] - fill[p]};
+  }
+  for (uint32_t i = begin; i < end; ++i) {
+    const uint32_t at = fill[owner(dests[i])]++;
+    out_ids[at] = ids[i];
+    out_dests[at] = dests[i];
+  }
 }
 
-// One source shard's scatter pass: claim every report's slot from the
-// shard's cursor row (random read-modify-write, prefetched; the claimed
-// slot overwrites the dest column in place), then place the ids at the
-// claimed slots (random write, prefetched).  Splitting claim from placement
-// is what makes the placement address known kPrefetchAhead iterations early
-// — the scalar engine's fused cursor[dests[i]]++ write had nothing to
-// prefetch.  Slot assignment is identical either way.
-void ScatterShard(uint32_t* cursor, uint32_t begin, uint32_t end,
-                  uint32_t* dests, const ReportId* arena,
-                  ReportId* next_arena) {
-  for (uint32_t tile = begin; tile < end; tile += kCoinTile) {
-    const uint32_t tile_end = std::min(end, tile + kCoinTile);
-    for (uint32_t i = tile; i < tile_end; ++i) {
-      if (i + kPrefetchAhead < tile_end) {
-        __builtin_prefetch(cursor + dests[i + kPrefetchAhead], 1, 1);
-      }
-      dests[i] = cursor[dests[i]]++;
-    }
-    for (uint32_t i = tile; i < tile_end; ++i) {
-      if (i + kPrefetchAhead < tile_end) {
-        __builtin_prefetch(next_arena + dests[i + kPrefetchAhead], 1, 0);
-      }
-      next_arena[dests[i]] = arena[i];
+size_t ArrivePart(const Batch* in, size_t sources, uint32_t first_user,
+                  uint32_t width, uint32_t base, uint32_t* counts,
+                  uint32_t* next_offsets, uint32_t* holder_v,
+                  uint32_t* holder_b, ReportId* next_arena) {
+  std::fill(counts, counts + width, 0u);
+  for (size_t q = 0; q < sources; ++q) {
+    for (uint32_t i = 0; i < in[q].size; ++i) {
+      ++counts[in[q].dests[i] - first_user];
     }
   }
+  // One running sum over destinations ascending: next CSR offsets, the
+  // cursor row (in place), and the next holder list, branch-free.
+  uint32_t run = base;
+  size_t holders = 0;
+  for (uint32_t v = 0; v < width; ++v) {
+    holder_v[holders] = first_user + v;
+    holder_b[holders] = run;
+    next_offsets[v] = run;
+    const uint32_t load = counts[v];
+    counts[v] = run;
+    run += load;
+    holders += (load > 0) ? 1 : 0;
+  }
+  holder_v[holders] = first_user + width;
+  holder_b[holders] = run;
+  for (size_t q = 0; q < sources; ++q) {
+    ScatterBatch(counts, first_user, in[q], next_arena);
+  }
+  return holders;
 }
 
 }  // namespace engine_internal
@@ -386,13 +404,12 @@ ExchangeWorkspace& ExchangeWorkspace::operator=(ExchangeWorkspace&&) noexcept =
 
 size_t ExchangeWorkspace::MemoryBytes() const {
   size_t bytes = next_.MemoryBytes() +
-                 dests_.capacity() * sizeof(uint32_t) +
-                 counts_.capacity() * sizeof(uint32_t) +
-                 bounds_.capacity() * sizeof(uint32_t) +
-                 holder_v_.capacity() * sizeof(uint32_t) +
-                 holder_b_.capacity() * sizeof(uint32_t) +
-                 holder_start_.capacity() * sizeof(size_t);
-  for (const engine_internal::HopScratch& h : hop_) bytes += h.MemoryBytes();
+                 (dests_.capacity() + batch_ids_.capacity() +
+                  batch_dests_.capacity() + counts_.capacity() +
+                  bounds_.capacity() + holder_v_.capacity() +
+                  holder_b_.capacity()) *
+                     sizeof(uint32_t);
+  for (const engine_internal::PartScratch& p : parts_) bytes += p.MemoryBytes();
   return bytes;
 }
 
@@ -513,48 +530,38 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     workspace->next_.Host(store.backend(), "route");
   }
 
-  // Users are sharded into contiguous ranges, one shard per pool slot.  The
-  // shard count only affects scheduling: every RNG draw comes from a
-  // per-(round, user) stream, and the counting-sort scatter below fills each
-  // destination's slice in ascending (shard, sender) order — which for
-  // contiguous ascending shards is just ascending sender order — so the
-  // holdings are bit-identical for any thread count (including 1).
-  const size_t shards = std::min(
+  // Users are split into contiguous parts, one per pool slot.  The part
+  // count only affects scheduling: every RNG draw comes from a
+  // per-(round, user) stream, and the arrive phase fills each destination's
+  // slice in ascending (source part, sender) order — which for contiguous
+  // ascending parts is just ascending sender order — so the holdings are
+  // bit-identical for any thread count (including 1).
+  const size_t parts = std::min(
       {std::max<size_t>(ThreadCount(), 1), n, kMaxRoutingShards});
 
-  // Size the reusable scratch.  Every resize target depends only on
-  // (n, total, shards) — the hop scratch additionally grows to the largest
-  // single holding seen — so for a fixed session this settles after the
-  // first rounds and incremental Step(1) loops re-enter allocation-free
-  // (pinned by tests/test_session_incremental.cc):
-  //   next          — the double-buffer partner each round scatters into;
-  //   dests         — per arena slot, this round's destination, then (in
-  //                   the scatter) the claimed slot;
-  //   counts        — shards x n rows: per-destination loads, converted in
-  //                   place into per-shard scatter cursors by PrefixCursors;
-  //   holder_v/b    — the round's holder list (engine_internal.h);
-  //   holder_start  — each shard's slice of that list;
-  //   hop           — per-shard hop scratch; its traffic counters are
-  //                   merged into the shared ShuffleMetrics at round end
-  //                   instead of racing on it.
+  // Size the reusable scratch (engine.h lists the buffers).  Every target
+  // depends only on (n, total, parts) — the hop tiles also grow to the
+  // largest single holding seen — so a fixed session settles after the
+  // first rounds and Step(1) loops re-enter allocation-free (pinned by
+  // tests/test_session_incremental.cc).  Part c owns counts[bounds[c], ...)
+  // and the holder list at bounds[c] + c; one part needs no batch columns.
   ExchangeWorkspace& ws = *workspace;
   ws.next_.AllocateFor(n, total);
   ws.dests_.resize(total);
-  ws.counts_.resize(shards * n);
-  ws.holder_v_.resize(n + 1);
-  ws.holder_b_.resize(n + 1);
-  ws.holder_start_.resize(shards + 1);
-  ws.hop_.resize(shards);
-  engine_internal::PartitionUsers(n, shards, &ws.bounds_);
+  if (parts > 1) {
+    ws.batch_ids_.resize(total);
+    ws.batch_dests_.resize(total);
+  }
+  ws.counts_.resize(n);
+  ws.holder_v_.resize(n + parts);
+  ws.holder_b_.resize(n + parts);
+  ws.parts_.resize(parts);
+  for (engine_internal::PartScratch& p : ws.parts_) p.in.resize(parts);
+  engine_internal::PartitionUsers(n, parts, &ws.bounds_);
   const uint32_t* bounds = ws.bounds_.data();
   uint32_t* dests = ws.dests_.data();
   uint32_t* holder_v = ws.holder_v_.data();
   uint32_t* holder_b = ws.holder_b_.data();
-
-  // The first round's holder list comes from the incoming store; later
-  // rounds get theirs from the prefix pass.
-  size_t num_holders = engine_internal::BuildHolderList(
-      store.offsets_data(), 0, n, holder_v, holder_b);
 
   for (size_t step = 0; step < options.rounds; ++step) {
     // The absolute round index keys the RNG streams, so resumed chunks draw
@@ -563,54 +570,56 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     const uint32_t* offsets = store.offsets_data();
     const ReportId* arena = store.arena_data();
 
-    // Slice the holder list by the user-range shards (shard c's holders are
-    // exactly those with user id in [bounds[c], bounds[c+1])), so every hop
-    // shard still covers a contiguous arena range.
-    for (size_t c = 0; c <= shards; ++c) {
-      ws.holder_start_[c] =
-          std::lower_bound(holder_v, holder_v + num_holders, bounds[c]) -
-          holder_v;
-    }
-
-    // Out-of-core schedule (DESIGN.md §9): prefault each shard's source
-    // slice before the hop walks it, one madvise(WILLNEED) per shard slice,
+    // Out-of-core schedule (DESIGN.md §9): prefault each part's source
+    // slice before the hop walks it, one madvise(WILLNEED) per part slice,
     // recorded in the backend's per-block touch accounting.  Heap stores:
     // one branch, nothing else.
     if (store.hosted()) {
-      for (size_t c = 0; c < shards; ++c) {
+      for (size_t c = 0; c < parts; ++c) {
         store.AdviseWillNeed(offsets[bounds[c]], offsets[bounds[c + 1]]);
       }
     }
 
-    // Hop phase (parallel over source shards): batched coin fill, degree-
-    // class address mapping, and per-shard destination histograms — see
-    // HopShard above and DESIGN.md §4e.
-    GlobalPool().RunChunks(shards, [&](size_t c) {
-      engine_internal::HopShard(g, options, round, holder_v, holder_b,
-                                ws.holder_start_[c], ws.holder_start_[c + 1],
-                                dests, ws.counts_.data() + c * n, &ws.hop_[c]);
+    // Hop + bucket (parallel over source parts).  The first round's holder
+    // lists come from the incoming store; later rounds get theirs from the
+    // arrive phase.
+    GlobalPool().RunChunks(parts, [&](size_t c) {
+      engine_internal::PartScratch& part = ws.parts_[c];
+      const uint32_t lo = bounds[c], b0 = offsets[lo];
+      if (step == 0) {
+        part.holders = engine_internal::BuildHolderList(
+            offsets + lo, lo, bounds[c + 1] - lo, holder_v + lo + c,
+            holder_b + lo + c);
+      }
+      engine_internal::HopShard(g, options, round, holder_v + lo + c,
+                                holder_b + lo + c, part.holders, dests, &part);
+      engine_internal::BucketPart(arena, dests, b0, offsets[bounds[c + 1]],
+                                  bounds, parts, ws.batch_ids_.data(),
+                                  ws.batch_dests_.data(), &part);
     });
 
-    // Prefix pass (coordinating thread): the next CSR offsets, every shard's
-    // scatter cursors, and the next round's holder list, in one pass.
-    const size_t next_holders = engine_internal::PrefixCursors(
-        ws.counts_.data(), shards, n, 0, ws.next_.mutable_offsets(), holder_v,
-        holder_b);
-
-    // Scatter phase (parallel over source shards): each shard walks its
-    // arena range in order, claims each report's pre-assigned slot from its
-    // cursor row, and places the 4-byte id — the whole point of index
-    // routing (DESIGN.md §4d).  Writes are disjoint by construction, and
-    // slot order reproduces the serial schedule exactly.
+    // Move: the barrier above hands every batch over in place.  Arrive
+    // (parallel over destination parts): part c's slots start after every
+    // report bound for a lower part, an O(parts^2) scan; its count, prefix
+    // and scatter write only its own slice of counts, holder lists, the
+    // next CSR and the next arena.
+    uint32_t* next_offsets = ws.next_.mutable_offsets();
     ReportId* next_arena = ws.next_.mutable_arena();
-    GlobalPool().RunChunks(shards, [&](size_t c) {
-      engine_internal::ScatterShard(ws.counts_.data() + c * n,
-                                    offsets[bounds[c]],
-                                    offsets[bounds[c + 1]], dests, arena,
-                                    next_arena);
+    GlobalPool().RunChunks(parts, [&](size_t c) {
+      engine_internal::PartScratch& part = ws.parts_[c];
+      uint32_t base = 0;
+      for (size_t q = 0; q < parts; ++q) {
+        part.in[q] = ws.parts_[q].out[c];
+        for (size_t p = 0; p < c; ++p) base += ws.parts_[q].out[p].size;
+      }
+      const uint32_t lo = bounds[c];
+      part.holders = engine_internal::ArrivePart(
+          part.in.data(), parts, lo, bounds[c + 1] - lo, base,
+          ws.counts_.data() + lo, next_offsets + lo, holder_v + lo + c,
+          holder_b + lo + c, next_arena);
     });
+    next_offsets[n] = offsets[n];  // reports are conserved
     store.SwapWith(&ws.next_);
-    num_holders = next_holders;
 
     // ws.next_ now holds the round's consumed source buffer; every byte of
     // it is rewritten before it is read again, so a file-backed buffer can
@@ -618,10 +627,10 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     // data, only this process's RSS falls).
     if (ws.next_.hosted()) ws.next_.AdviseDontNeedAll();
 
-    // Metrics merge, on the coordinating thread, in shard order.
+    // Metrics merge, on the coordinating thread, in part order.
     if (options.metrics != nullptr) {
-      for (size_t c = 0; c < shards; ++c) {
-        for (const auto& t : ws.hop_[c].traffic) {
+      for (size_t c = 0; c < parts; ++c) {
+        for (const auto& t : ws.parts_[c].traffic) {
           options.metrics->AddUserTraffic(t.first, t.second);
         }
       }

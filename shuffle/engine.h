@@ -89,7 +89,7 @@ struct ExchangeResult {
 
 class ExchangeWorkspace;
 namespace engine_internal {
-struct HopScratch;  // shuffle/engine_internal.h
+struct PartScratch;  // shuffle/engine_internal.h
 }  // namespace engine_internal
 
 ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
@@ -97,14 +97,14 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
                               ExchangeWorkspace* workspace);
 
 /// Reusable scratch for ResumeExchange (DESIGN.md §4e): the double-buffer
-/// partner store plus the per-round routing tables — destination/slot
-/// column, per-part counting rows, the holder list the batched hop kernels
-/// iterate, and one hop scratch (coin/address tiles, traffic) per part.
-/// Hoisted out of the engine so a serving loop stepping one round at a time
-/// (Session::Step(1)) pays the O(shards * n) allocation once per session
-/// instead of once per call; buffer sizing is idempotent, so the steady
-/// state allocates nothing (pinned by an allocation-count regression test
-/// in tests/test_session_incremental.cc).
+/// partner store plus the per-round routing tables — destination column,
+/// bucketed batch columns, one counting row sliced by part, the holder
+/// lists the batched hop kernels iterate, and one part scratch (coin/address
+/// tiles, traffic, batch views) per part.  Hoisted out of the engine so a
+/// serving loop stepping one round at a time (Session::Step(1)) pays the
+/// O(n) allocation once per session instead of once per call; buffer
+/// sizing is idempotent, so the steady state allocates nothing (pinned by
+/// an allocation-count regression test in tests/test_session_incremental.cc).
 ///
 /// Purely scratch: no routing decision ever reads workspace contents from a
 /// previous round, so reusing one workspace across exchanges (or graphs of
@@ -121,7 +121,8 @@ class ExchangeWorkspace {
 
   /// Heap footprint of the scratch buffers (benches report this; the
   /// dominant terms are the ~8 B/user partner store, the 4 B/report
-  /// dest/slot column, and the 4 B/user counting row per shard).
+  /// destination column, the 8 B/report batch columns when there is more
+  /// than one part, and the 4 B/user counting row).
   size_t MemoryBytes() const;
 
  private:
@@ -130,16 +131,17 @@ class ExchangeWorkspace {
                                        ExchangeWorkspace*);
 
   ReportStore next_;              // double-buffer scatter partner
-  std::vector<uint32_t> dests_;   // per-slot destination, then claimed slot
-  std::vector<uint32_t> counts_;  // parts x n counting/cursor rows
+  std::vector<uint32_t> dests_;   // per-slot destination
+  std::vector<ReportId> batch_ids_;    // bucketed batches (parts > 1)
+  std::vector<uint32_t> batch_dests_;  // their dests, then claimed slots
+  std::vector<uint32_t> counts_;  // n counting/cursor entries
   std::vector<uint32_t> bounds_;  // part user boundaries (parts + 1)
-  // The round's holder list: users holding >= 1 report (ascending) and
-  // where each one's arena run begins, plus a sentinel entry — the
+  // Part c's holder list at bounds[c] + c: users holding >= 1 report
+  // (ascending), where each one's arena run begins, and a sentinel — the
   // branch-free iteration structure of the batched hop (DESIGN.md §4e).
-  std::vector<uint32_t> holder_v_;     // holder user ids (n + 1)
-  std::vector<uint32_t> holder_b_;     // holder arena-run starts (n + 1)
-  std::vector<size_t> holder_start_;   // per-part holder slices (parts + 1)
-  std::vector<engine_internal::HopScratch> hop_;  // per-part hop scratch
+  std::vector<uint32_t> holder_v_;  // holder user ids (n + parts)
+  std::vector<uint32_t> holder_b_;  // holder arena-run starts (n + parts)
+  std::vector<engine_internal::PartScratch> parts_;  // per-part scratch
 };
 
 /// Typed pre-flight check for the exchange entry points below; they fatal on

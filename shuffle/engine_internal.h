@@ -1,14 +1,14 @@
 // Internal seam between the serial exchange engine (shuffle/engine.cc) and
-// the sharded engine (shuffle/sharded.cc): the round phases of DESIGN.md §4e,
-// written once.  A round is partition -> holder list -> hop -> prefix ->
-// scatter; the serial engine runs the phases over its thread-pool parts of
-// all n users, and every sharded worker runs the SAME phases over its own
-// contiguous user range — which is half of the bit-identity argument
-// (DESIGN.md §11).
+// the sharded engine (shuffle/sharded.cc): the one round shape of DESIGN.md
+// §4e, written once.  A round is hop -> bucket -> move -> arrive over parts
+// that own contiguous user ranges.  The engines differ only in the move:
+// the serial engine's parts are thread-pool chunks that hand their batches
+// over in place at a barrier, and every sharded worker is one part that
+// ships its batches over a transport (DESIGN.md §11).
 //
 // Not part of the public API: the contracts here (sentinel-terminated holder
-// lists, count rows the caller must interpret as scatter cursors) are engine
-// plumbing.  Include from shuffle/ only.
+// lists, batches whose destination column the arrive phase overwrites) are
+// engine plumbing.  Include from shuffle/ only.
 
 #ifndef NETSHUFFLE_SHUFFLE_ENGINE_INTERNAL_H_
 #define NETSHUFFLE_SHUFFLE_ENGINE_INTERNAL_H_
@@ -47,56 +47,68 @@ void PartitionUsers(size_t n, size_t parts, std::vector<uint32_t>* bounds);
 size_t BuildHolderList(const uint32_t* offsets, uint32_t first_user,
                        size_t users, uint32_t* holder_v, uint32_t* holder_b);
 
-/// Per-part scratch for HopShard: the hop-tile columns plus the part's
-/// (holder, sends) traffic counters.  Buffers are sized by HopShard itself
-/// and never shrink, so a reused HopScratch settles after the first rounds.
-struct HopScratch {
+/// `size` routed reports: ids[i] goes to global user dests[i].  A view —
+/// the columns belong to whoever bucketed or decoded them.
+struct Batch {
+  const ReportId* ids = nullptr;
+  uint32_t* dests = nullptr;
+  uint32_t size = 0;
+};
+
+/// One part's round scratch: the hop-tile columns, the part's (holder,
+/// sends) traffic counters, and its outgoing batches by destination part.
+/// Buffers never shrink, so a reused PartScratch settles after the first
+/// rounds.
+struct PartScratch {
+  size_t holders = 0;               // holder count of the part's list
   std::vector<uint64_t> streams;    // per-holder stream seeds, one tile
   std::vector<uint64_t> firsts;     // per-holder first words, one tile
   std::vector<uint32_t> multi;      // tile-local multi-holder list
   std::vector<uint64_t> coins;      // per-report coin column (grows)
   std::vector<const NodeId*> addrs; // per-report neighbor addresses (grows)
   std::vector<std::pair<NodeId, uint64_t>> traffic;
+  std::vector<Batch> out;           // out[p]: the batch for part p
+  std::vector<Batch> in;            // arriving batches, by source part
 
   size_t MemoryBytes() const;
 };
 
-/// One part's hop pass over holder-list entries [h_begin, h_end) of a
+/// Hop: one part's pass over the first `holders` entries of its
 /// sentinel-terminated holder list.  Draws every holder's destinations from
 /// its per-(options.seed, round, user) stream — batched, branch-free,
 /// AVX-512 when available; scalar fault path when options.faults !=
 /// nullptr — and writes them into dests[] (indexed by the holder runs'
-/// arena offsets).  When `count` is non-null it is a g.num_nodes()-entry
-/// row, zeroed on entry and filled with the destination histogram; null
-/// skips the histogram.  scratch->traffic is cleared and filled with
-/// per-holder send counts when options.metrics is set.
+/// arena offsets).  scratch->traffic is cleared and filled with per-holder
+/// send counts when options.metrics is set.
 void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
               const uint32_t* holder_v, const uint32_t* holder_b,
-              size_t h_begin, size_t h_end, uint32_t* dests, uint32_t* count,
-              HopScratch* scratch);
+              size_t holders, uint32_t* dests, PartScratch* scratch);
 
-/// The prefix pass over `parts` load rows of `width` destinations each
-/// (counts[c * width + v] = part c's load on destination first_user + v).
-/// One running sum visits destinations ascending and, within each, parts
-/// ascending — the fixed order that pins the canonical ascending-sender
-/// layout — and in the same pass:
-///   - rewrites every row in place into that part's scatter cursors;
-///   - writes next_offsets[0, width], the next round's CSR;
-///   - rebuilds the next round's holder list exactly as BuildHolderList
-///     would over next_offsets (holder_v/holder_b need width + 1 entries).
-/// Returns the next round's holder count.
-size_t PrefixCursors(uint32_t* counts, size_t parts, size_t width,
-                     uint32_t first_user, uint32_t* next_offsets,
-                     uint32_t* holder_v, uint32_t* holder_b);
+/// Bucket: groups a part's hopped reports, arena positions [begin, end), by
+/// destination part (owner under `bounds`, parts <= kMaxBucketParts),
+/// keeping arena order within each group, into the same positions of
+/// out_ids/out_dests, and points scratch->out[p] at group p.  With one part
+/// the source columns are the batch: nothing is copied, and out_ids/out_dests
+/// may be null.
+constexpr size_t kMaxBucketParts = 64;
+void BucketPart(const ReportId* ids, uint32_t* dests, uint32_t begin,
+                uint32_t end, const uint32_t* bounds, size_t parts,
+                ReportId* out_ids, uint32_t* out_dests, PartScratch* scratch);
 
-/// One part's scatter pass: for i in [begin, end), claims slot
-/// cursor[dests[i]]++ and places arena[i] there in next_arena (split
-/// claim/place with software prefetch).  dests is overwritten with the
-/// claimed slots.  The caller's cursor row must already hold each
-/// destination's first slot for this part (PrefixCursors).
-void ScatterShard(uint32_t* cursor, uint32_t begin, uint32_t end,
-                  uint32_t* dests, const ReportId* arena,
-                  ReportId* next_arena);
+/// Arrive: sorts the batches destined for users [first_user, first_user +
+/// width) into next_arena.  Counts each destination's load into counts
+/// (width entries), runs one prefix sum from slot `base` that writes
+/// next_offsets[0, width) — never next_offsets[width], which belongs to the
+/// next part — and rebuilds the holder list exactly as BuildHolderList would
+/// (holder_v/holder_b need width + 1 entries), then scatters the batches in
+/// ascending source order, so each destination's slice fills in ascending
+/// (source part, position) order: the canonical ascending-sender layout.
+/// Overwrites every batch's dests with its claimed slots.  Returns the next
+/// round's holder count.
+size_t ArrivePart(const Batch* in, size_t sources, uint32_t first_user,
+                  uint32_t width, uint32_t base, uint32_t* counts,
+                  uint32_t* next_offsets, uint32_t* holder_v,
+                  uint32_t* holder_b, ReportId* next_arena);
 
 }  // namespace engine_internal
 }  // namespace netshuffle

@@ -12,15 +12,8 @@ namespace netshuffle {
 
 namespace {
 
-/// Owner of user d under `bounds`.  The arithmetic guess d*S/n is within
-/// one of the floor-division bounds; the fixup loops run at most once.
-size_t ShardOf(uint32_t d, size_t n, size_t shards,
-               const std::vector<uint32_t>& bounds) {
-  size_t s = std::min(shards - 1, static_cast<size_t>(d) * shards / n);
-  while (d < bounds[s]) --s;
-  while (d >= bounds[s + 1]) ++s;
-  return s;
-}
+static_assert(kMaxTransportShards <= engine_internal::kMaxBucketParts,
+              "every worker buckets its reports by destination shard");
 
 // Everything a shard worker reads from the coordinator's address space.
 // Under the process transport the worker is a forked child: all of this is
@@ -31,7 +24,6 @@ struct ShardedRun {
   const ExchangeOptions* options = nullptr;
   const uint32_t* global_offsets = nullptr;  // prior CSR, n + 1 entries
   const ReportId* global_arena = nullptr;    // prior arena
-  size_t n = 0;
   size_t shards = 0;
   std::vector<uint32_t> bounds;
 };
@@ -44,8 +36,8 @@ struct WorkerStats {
 };
 
 /// The shard worker body: options.rounds rounds of the serial engine's
-/// round phases (engine_internal.h) over this shard's user range, with
-/// coalesce -> exchange between hop and prefix, then one kResult frame with
+/// round shape (engine_internal.h) over this shard's user range — hop,
+/// bucket, move over the transport, arrive — then one kResult frame with
 /// the final local state.  Every Send/Recv failure propagates as the typed
 /// Status RunShardWorkers turns into the run's kTransportError.
 Status ShardWorkerBody(const ShardedRun& run, size_t s, Endpoint& ep) {
@@ -67,22 +59,21 @@ Status ShardWorkerBody(const ShardedRun& run, size_t s, Endpoint& ep) {
   }
 
   // Part-sized scratch: the holder list (global user ids, local arena
-  // offsets), one count/cursor row over the local users, and the next CSR.
-  // The hop runs without a histogram — routing counts what arrives, below —
-  // so nothing here is sized by the global n.
+  // offsets), the count/cursor row over the local users, the next CSR, and
+  // the hopped and bucketed report columns — nothing is sized by the
+  // global n.
   std::vector<uint32_t> holder_v(ln + 1), holder_b(ln + 1);
   std::vector<uint32_t> counts(ln), next_offsets(ln + 1);
-  size_t num_holders = engine_internal::BuildHolderList(
+  engine_internal::PartScratch part;
+  part.holders = engine_internal::BuildHolderList(
       offsets.data(), lo, ln, holder_v.data(), holder_b.data());
-  std::vector<uint32_t> dests;
-  engine_internal::HopScratch hop;
+  std::vector<uint32_t> dests, batch_dests;
+  std::vector<ReportId> batch_ids, next_arena;
 
-  // Per-destination-shard outgoing batches and the matching incoming ones;
-  // slot s holds the shard's own (never-sent) batch so the scatter below
-  // can walk source shards 0..S-1 uniformly.
-  std::vector<std::vector<uint32_t>> out_ids(shards), out_dests(shards);
+  // Incoming batches by source shard; slot s is the shard's own (never
+  // sent) batch, so the arrive phase walks source shards 0..S-1 uniformly.
   std::vector<std::vector<uint32_t>> in_ids(shards), in_dests(shards);
-  std::vector<ReportId> next_arena;
+  part.in.resize(shards);
 
   std::vector<uint64_t> user_traffic;
   std::vector<uint32_t> user_peak;
@@ -102,34 +93,27 @@ Status ShardWorkerBody(const ShardedRun& run, size_t s, Endpoint& ep) {
     const size_t round = options.first_round + step;
     const uint32_t held = offsets[ln];
 
-    // Local hop: the serial engine's kernel, unmodified.  Destinations are
-    // global user ids; draws come from per-(seed, round, user) streams, so
-    // they cannot depend on the shard partition.
+    // Hop + bucket: destinations are global user ids drawn from
+    // per-(seed, round, user) streams, so they cannot depend on the shard
+    // partition; bucketing keeps local arena order within each batch — the
+    // order half of the bit-identity argument.
     dests.resize(held);
+    batch_ids.resize(held);
+    batch_dests.resize(held);
     engine_internal::HopShard(g, options, round, holder_v.data(),
-                              holder_b.data(), 0, num_holders, dests.data(),
-                              /*count=*/nullptr, &hop);
+                              holder_b.data(), part.holders, dests.data(),
+                              &part);
+    engine_internal::BucketPart(arena.data(), dests.data(), 0, held,
+                                run.bounds.data(), shards, batch_ids.data(),
+                                batch_dests.data(), &part);
 
-    // Coalesce: one (ids, dests) batch per destination shard, in local
-    // arena order — the order half of the bit-identity argument.
-    for (size_t d = 0; d < shards; ++d) {
-      out_ids[d].clear();
-      out_dests[d].clear();
-    }
-    for (uint32_t i = 0; i < held; ++i) {
-      const uint32_t dd = dests[i];
-      const size_t q = ShardOf(dd, run.n, shards, run.bounds);
-      out_ids[q].push_back(arena[i]);
-      out_dests[q].push_back(dd);
-    }
-
-    // Exchange: exactly one frame to every other shard, empty or not —
-    // that is what keeps messages-per-round at shards^2 and lets the
-    // receive loop below expect exactly shards-1 frames with no timeouts.
+    // Move: exactly one frame to every other shard, empty or not — that is
+    // what keeps messages-per-round at shards^2 and lets the receive loop
+    // below expect exactly shards-1 frames with no timeouts.
     for (size_t d = 0; d < shards; ++d) {
       if (d == s) continue;
-      wire::EncodeBatch(out_ids[d].data(), out_dests[d].data(),
-                        out_ids[d].size(), &writer);
+      const engine_internal::Batch& out = part.out[d];
+      wire::EncodeBatch(out.ids, out.dests, out.size, &writer);
       // ns-lint: allow(narrow32): the wire round field is u32; epoch-local
       // rounds are capped below 2^32 (core/session.h PackProgress)
       Status st = ep.Send(static_cast<uint16_t>(d), wire::FrameKind::kBatch,
@@ -137,11 +121,11 @@ Status ShardWorkerBody(const ShardedRun& run, size_t s, Endpoint& ep) {
                           writer.size());
       if (!st.ok()) return st;
       ++stats.messages;
-      stats.cross_reports += out_ids[d].size();
+      stats.cross_reports += out.size;
       stats.cross_bytes += wire::kHeaderBytes + writer.size();
     }
-    in_ids[s].swap(out_ids[s]);
-    in_dests[s].swap(out_dests[s]);
+    part.in[s] = part.out[s];
+    uint32_t arriving = part.out[s].size;
     for (size_t q = 0; q < shards; ++q) {
       if (q == s) continue;
       wire::FrameHeader h;
@@ -156,44 +140,29 @@ Status ShardWorkerBody(const ShardedRun& run, size_t s, Endpoint& ep) {
             "from shard " + std::to_string(q) + " in round " +
             std::to_string(round));
       }
-      st = wire::DecodeBatch(payload.data(), payload.size(), &in_ids[q],
-                             &in_dests[q]);
+      st = wire::DecodeBatch(payload.data(), payload.size(), lo, hi,
+                             &in_ids[q], &in_dests[q]);
       if (!st.ok()) return st;
+      // ns-lint: allow(narrow32): a decoded batch holds a u32 count
+      const uint32_t size = static_cast<uint32_t>(in_ids[q].size());
+      part.in[q] = engine_internal::Batch{in_ids[q].data(),
+                                          in_dests[q].data(), size};
+      arriving += size;
     }
 
-    // Per-destination loads of the received batches, rebasing destinations
-    // to local indices (the cursor row is local-sized); then the serial
-    // engine's prefix and scatter phases.  One cursor row serves every
-    // source batch: scattering them in ascending source-shard order fills
-    // each destination's slice in ascending (source shard, position) order,
-    // the canonical layout.
-    std::fill(counts.begin(), counts.end(), 0u);
-    for (size_t q = 0; q < shards; ++q) {
-      for (uint32_t& dd : in_dests[q]) {
-        if (dd < lo || dd >= hi) {
-          return wire::TransportError(
-              "shard " + std::to_string(s) + " received report for user " +
-              std::to_string(dd) + " outside its range");
-        }
-        dd -= lo;
-        ++counts[dd];
-      }
-    }
-    num_holders = engine_internal::PrefixCursors(
-        counts.data(), 1, ln, lo, next_offsets.data(), holder_v.data(),
-        holder_b.data());
-    next_arena.resize(next_offsets[ln]);
-    for (size_t q = 0; q < shards; ++q) {
-      // ns-lint: allow(narrow32): a batch holds at most n u32 report ids
-      engine_internal::ScatterShard(
-          counts.data(), 0, static_cast<uint32_t>(in_ids[q].size()),
-          in_dests[q].data(), in_ids[q].data(), next_arena.data());
-    }
+    // Arrive: the serial engine's phase over this shard's users, from slot
+    // 0 of the local arena; the shard closes its own CSR.
+    next_arena.resize(arriving);
+    part.holders = engine_internal::ArrivePart(
+        part.in.data(), shards, lo, hi - lo, 0, counts.data(),
+        next_offsets.data(), holder_v.data(), holder_b.data(),
+        next_arena.data());
+    next_offsets[ln] = arriving;
     arena.swap(next_arena);
     offsets.swap(next_offsets);
 
     if (want_metrics) {
-      for (const std::pair<NodeId, uint64_t>& t : hop.traffic) {
+      for (const std::pair<NodeId, uint64_t>& t : part.traffic) {
         user_traffic[t.first - lo] += t.second;
       }
       for (size_t u = 0; u < ln; ++u) {
@@ -271,7 +240,6 @@ Status ShardedResumeExchange(const Graph& g, ExchangeResult* state,
   run.options = &options;
   run.global_offsets = state->holdings.offsets_data();
   run.global_arena = state->holdings.arena_data();
-  run.n = n;
   run.shards = shards;
   engine_internal::PartitionUsers(n, shards, &run.bounds);
 

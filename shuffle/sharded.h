@@ -1,13 +1,13 @@
 // Multi-worker sharded exchange (DESIGN.md §11): the serial engine's rounds,
 // partitioned across N workers that each own a contiguous user range
 // [bounds[s], bounds[s+1]) and the matching contiguous slice of the report
-// arena.  Per round, every worker runs the serial engine's round phases
-// (shuffle/engine_internal.h) over its part: the hop over its local holders,
-// then — between hop and prefix — it coalesces the resulting (report id,
-// destination) pairs into ONE wire.h batch per destination shard (messages
-// per round is shards^2, independent of the report count) and ships them
-// over the transport seam (shuffle/transport.h); the prefix and scatter
-// phases then sort what it received into its next local arena slice.
+// arena.  Per round, every worker is one part of the serial engine's round
+// shape (shuffle/engine_internal.h): it hops its local holders' reports,
+// buckets the (report id, destination) pairs into ONE batch per destination
+// shard, moves each remote batch as one wire.h frame over the transport
+// seam (shuffle/transport.h) — messages per round is shards^2, independent
+// of the report count — and the arrive phase sorts what it received into
+// its next local arena slice.
 //
 // Bit-identity contract: for any shard count and either transport, the
 // final (origin, payload, holder) state is byte-identical to the serial

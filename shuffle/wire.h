@@ -319,9 +319,10 @@ inline void EncodeBatch(const uint32_t* ids, const uint32_t* dests,
 }
 
 /// Decodes a batch payload into two column vectors (resized to fit).
-/// Typed kTransportError on any length inconsistency.
-inline Status DecodeBatch(const uint8_t* payload, size_t n,
-                          std::vector<uint32_t>* ids,
+/// Typed kTransportError on any length inconsistency and on a destination
+/// outside the receiver's user range [lo, hi).
+inline Status DecodeBatch(const uint8_t* payload, size_t n, uint32_t lo,
+                          uint32_t hi, std::vector<uint32_t>* ids,
                           std::vector<uint32_t>* dests) {
   Reader r(payload, n);
   uint32_t count = 0;
@@ -336,8 +337,15 @@ inline Status DecodeBatch(const uint8_t* payload, size_t n,
   ids->resize(count);
   dests->resize(count);
   s = r.U32Array(ids->data(), count);
+  if (s.ok()) s = r.U32Array(dests->data(), count);
   if (!s.ok()) return s;
-  return r.U32Array(dests->data(), count);
+  for (const uint32_t d : *dests) {
+    if (d < lo || d >= hi) {
+      return TransportError("batch routes a report to user " +
+                            std::to_string(d) + " outside receiver range");
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace wire

@@ -17,14 +17,15 @@
 //   - fault schedules (LazyFaultModel: Awake consumes stream draws) and
 //     fault-free runs (the batched FirstRawDraw/FillStreamRaw fast path),
 //
-// at NS_THREADS 1/2/4 and under BOTH storage backends (heap and the
-// file-backed mmap tier, DESIGN.md §9 — the kernels must be bit-identical
-// over mapped memory), stepped round-by-round through ONE persistent
-// ExchangeWorkspace reused across every shape, thread count, AND backend
-// (stale scratch from a previous, differently-sized or differently-hosted
-// exchange must be invisible; crossing backends exercises the workspace's
-// Unhost/Host re-matching in ResumeExchange), plus a whole-run one-shot
-// comparison through the workspace-free overload.
+// at NS_THREADS 1/2/3/4/33 (3 gives uneven part bounds, so the bucket's
+// owner fixups run; 33 exceeds the engine's 32-part cap) and under BOTH
+// storage backends (heap and the file-backed mmap tier, DESIGN.md §9 — the
+// kernels must be bit-identical over mapped memory), stepped round-by-round
+// through ONE persistent ExchangeWorkspace reused across every shape,
+// thread count, AND backend (stale scratch from a previous, differently-sized
+// or differently-hosted exchange must be invisible; crossing backends
+// exercises the workspace's Unhost/Host re-matching in ResumeExchange), plus
+// a whole-run one-shot comparison through the workspace-free overload.
 
 #include <cstdio>
 #include <memory>
@@ -59,7 +60,8 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
   // on every transition.
   for (const std::shared_ptr<StorageBackend>& backend :
        {std::shared_ptr<StorageBackend>(), mmap_backend}) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                           size_t{33}}) {
       SetThreadCount(threads);
       std::vector<std::vector<ReportId>> ref = ReferenceInit(n);
       ExchangeResult state = StartExchange(g, PatternArena(n, backend));
@@ -159,7 +161,8 @@ int main() {
     Rng gen(meta.Next());
     const Graph g = MakeRandomRegular(240, 6, &gen);
     const uint64_t seed = meta.Next();
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                           size_t{33}}) {
       SetThreadCount(threads);
       std::vector<std::vector<ReportId>> ref = ReferenceInit(240);
       for (size_t r = 0; r < 13; ++r) ReferenceRound(g, r, seed, &lazy, &ref);

@@ -182,11 +182,13 @@ void TestWriterReader() {
 void TestBatches() {
   wire::Writer w;
   std::vector<uint32_t> ids, dests;
+  // The widest receiver range: every user id below the u32 maximum.
+  const uint32_t lo = 0, hi = UINT32_MAX;
 
   // Zero-length batch: a legal 4-byte payload.
   wire::EncodeBatch(nullptr, nullptr, 0, &w);
   CHECK(w.size() == 4);
-  CHECK(wire::DecodeBatch(w.data(), w.size(), &ids, &dests).ok());
+  CHECK(wire::DecodeBatch(w.data(), w.size(), lo, hi, &ids, &dests).ok());
   CHECK(ids.empty() && dests.empty());
 
   // Max-size-ish batch: 200k pairs round-trip column-for-column.
@@ -199,16 +201,18 @@ void TestBatches() {
   }
   wire::EncodeBatch(in_ids.data(), in_dests.data(), big, &w);
   CHECK(w.size() == 4 + big * 8);
-  CHECK(wire::DecodeBatch(w.data(), w.size(), &ids, &dests).ok());
+  CHECK(wire::DecodeBatch(w.data(), w.size(), lo, hi, &ids, &dests).ok());
   CHECK(ids == in_ids && dests == in_dests);
 
   // Truncation at a sweep of lengths (every prefix of the header+columns
   // boundary region, then coarse steps through the bulk) is typed.
   for (size_t len = 0; len < 64; ++len) {
-    CheckTransportError(wire::DecodeBatch(w.data(), len, &ids, &dests));
+    CheckTransportError(
+        wire::DecodeBatch(w.data(), len, lo, hi, &ids, &dests));
   }
   for (size_t len = 64; len < w.size(); len += 7919) {
-    CheckTransportError(wire::DecodeBatch(w.data(), len, &ids, &dests));
+    CheckTransportError(
+        wire::DecodeBatch(w.data(), len, lo, hi, &ids, &dests));
   }
   // Declared count inconsistent with the delivered bytes.
   {
@@ -217,7 +221,27 @@ void TestBatches() {
     const uint32_t two[2] = {1, 2};
     bad.U32Array(two, 2);  // 3 pairs declared, 1 pair of bytes present
     CheckTransportError(
-        wire::DecodeBatch(bad.data(), bad.size(), &ids, &dests));
+        wire::DecodeBatch(bad.data(), bad.size(), lo, hi, &ids, &dests));
+  }
+
+  // A well-formed, checksummed batch routing a report outside the
+  // receiver's users [10, 20) is a typed error at either edge; the same
+  // frame decodes cleanly for a receiver that owns the destinations.
+  for (const uint32_t stray : {9u, 20u}) {
+    const uint32_t two_ids[2] = {7, 8}, two_dests[2] = {15, stray};
+    wire::EncodeBatch(two_ids, two_dests, 2, &w);
+    Bytes frame;
+    wire::EncodeFrame(wire::FrameKind::kBatch, /*src=*/1, /*dst=*/2,
+                      /*round=*/3, w.data(), w.size(), &frame);
+    wire::FrameHeader h;
+    CHECK(wire::DecodeHeader(frame.data(), frame.size(), &h).ok());
+    const uint8_t* payload = frame.data() + wire::kHeaderBytes;
+    CHECK(wire::VerifyPayload(h, payload).ok());
+    CheckTransportError(
+        wire::DecodeBatch(payload, h.payload_bytes, 10, 20, &ids, &dests));
+    CHECK(wire::DecodeBatch(payload, h.payload_bytes, 0, 21, &ids, &dests)
+              .ok());
+    CHECK(dests[1] == stray);
   }
 
   // Random garbage through both decoders: typed errors or clean parses,
@@ -228,7 +252,7 @@ void TestBatches() {
     for (auto& c : junk) c = static_cast<uint8_t>(fuzz.Next());
     wire::FrameHeader h;
     (void)wire::DecodeHeader(junk.data(), junk.size(), &h);
-    (void)wire::DecodeBatch(junk.data(), junk.size(), &ids, &dests);
+    (void)wire::DecodeBatch(junk.data(), junk.size(), lo, hi, &ids, &dests);
   }
 }
 
@@ -259,7 +283,8 @@ Status MeshWorker(size_t shards, size_t s, Endpoint& ep) {
       return wire::TransportError("mesh worker got an unexpected frame");
     }
     std::vector<uint32_t> ids, dests;
-    st = wire::DecodeBatch(payload.data(), payload.size(), &ids, &dests);
+    st = wire::DecodeBatch(payload.data(), payload.size(), 0,
+                           static_cast<uint32_t>(shards), &ids, &dests);
     if (!st.ok()) return st;
     if (ids.size() != 1 || ids[0] != q * 1000 + s || dests[0] != s) {
       return wire::TransportError("mesh worker got a misrouted batch");
