@@ -56,17 +56,19 @@ Status Session::ValidateWith(const SessionConfig& config,
             ", delta2=" + std::to_string(config.delta2()) + ")");
   }
   if (!config.allow_non_ergodic()) {
-    if (!IsConnected(config.graph())) {
-      return Status::Error(
-          StatusCode::kDisconnectedGraph,
-          "the graph is disconnected: reports can never mix across "
-          "components (SessionConfig::AllowNonErgodic overrides)");
-    }
-    if (!IsErgodic(config.graph())) {
-      return Status::Error(
-          StatusCode::kNonErgodicGraph,
-          "the graph is bipartite: the walk has no unique stationary limit "
-          "(SessionConfig::AllowNonErgodic overrides)");
+    switch (CheckErgodicity(config.graph())) {
+      case Ergodicity::kErgodic:
+        break;
+      case Ergodicity::kDisconnected:
+        return Status::Error(
+            StatusCode::kDisconnectedGraph,
+            "the graph is disconnected: reports can never mix across "
+            "components (SessionConfig::AllowNonErgodic overrides)");
+      case Ergodicity::kBipartite:
+        return Status::Error(
+            StatusCode::kNonErgodicGraph,
+            "the graph is bipartite: the walk has no unique stationary limit "
+            "(SessionConfig::AllowNonErgodic overrides)");
     }
   }
   if (config.has_payloads()) {

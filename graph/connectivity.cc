@@ -1,6 +1,6 @@
 #include "graph/connectivity.h"
 
-#include <queue>
+#include <cstdint>
 
 namespace netshuffle {
 
@@ -29,14 +29,6 @@ std::vector<int> ConnectedComponents(const Graph& g) {
   return component;
 }
 
-bool IsConnected(const Graph& g) {
-  const auto c = ConnectedComponents(g);
-  for (int id : c) {
-    if (id != 0) return false;
-  }
-  return true;
-}
-
 bool IsBipartite(const Graph& g) {
   const size_t n = g.num_nodes();
   std::vector<int8_t> color(n, -1);
@@ -62,8 +54,38 @@ bool IsBipartite(const Graph& g) {
   return true;
 }
 
-bool IsErgodic(const Graph& g) {
-  return g.num_nodes() > 0 && IsConnected(g) && !IsBipartite(g);
+Ergodicity CheckErgodicity(const Graph& g) {
+  const size_t n = g.num_nodes();
+  if (n == 0) return Ergodicity::kBipartite;
+  // Breadth-first, so the nodes to visit next are known in advance: the
+  // walk prefetches the adjacency slice a few queue entries ahead instead
+  // of stalling on each one.
+  constexpr size_t kPrefetchAhead = 16;
+  constexpr uint8_t kUnseen = 2;
+  std::vector<uint8_t> color(n, kUnseen);
+  std::vector<NodeId> queue;
+  queue.reserve(n);
+  queue.push_back(0);
+  color[0] = 0;
+  bool odd_cycle = false;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    if (head + kPrefetchAhead < queue.size()) {
+      __builtin_prefetch(g.neighbors_begin(queue[head + kPrefetchAhead]));
+    }
+    const NodeId u = queue[head];
+    const uint8_t cu = color[u];
+    for (const NodeId* v = g.neighbors_begin(u); v != g.neighbors_end(u);
+         ++v) {
+      if (color[*v] == kUnseen) {
+        color[*v] = static_cast<uint8_t>(cu ^ 1);
+        queue.push_back(*v);
+      } else {
+        odd_cycle |= color[*v] == cu;
+      }
+    }
+  }
+  if (queue.size() < n) return Ergodicity::kDisconnected;
+  return odd_cycle ? Ergodicity::kErgodic : Ergodicity::kBipartite;
 }
 
 }  // namespace netshuffle

@@ -31,7 +31,8 @@ class Graph {
   /// count (isolated nodes are representable).  Fatal on exactly what
   /// ValidateEdges rejects — an out-of-range endpoint used to corrupt the
   /// CSR offsets (out-of-bounds writes); callers with untrusted input should
-  /// pre-check with ValidateEdges and surface the Status.
+  /// pre-check with ValidateEdges and surface the Status.  Slices are
+  /// canonicalized on the pool; the result is the same at any width.
   static Graph FromEdges(size_t n, std::vector<Edge> edges);
 
   size_t num_nodes() const {

@@ -2,9 +2,23 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 namespace netshuffle {
+
+namespace {
+
+// Bytes between the read position and the end of the file.
+size_t RemainingBytes(std::FILE* f) {
+  const long here = std::ftell(f);
+  if (here < 0 || std::fseek(f, 0, SEEK_END) != 0) return 0;
+  const long end = std::ftell(f);
+  if (end < here || std::fseek(f, here, SEEK_SET) != 0) return 0;
+  return static_cast<size_t>(end - here);
+}
+
+}  // namespace
 
 bool SaveEdgeList(const Graph& g, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -23,7 +37,11 @@ bool LoadEdgeList(const std::string& path, Graph* out) {
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) return false;
   size_t n = 0, m = 0;
-  if (std::fscanf(f, "# netshuffle-edgelist %zu %zu\n", &n, &m) != 2) {
+  // The header is untrusted: node ids are NodeId-wide, and every edge line
+  // takes at least 3 bytes ("u v"), so a count the file cannot hold is
+  // malformed rather than an allocation to attempt.
+  if (std::fscanf(f, "# netshuffle-edgelist %zu %zu\n", &n, &m) != 2 ||
+      n > std::numeric_limits<NodeId>::max() || m > RemainingBytes(f) / 3) {
     std::fclose(f);
     return false;
   }

@@ -83,6 +83,24 @@ int main() {
     bipartite.SetGraph(Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}));
     CHECK(CreateError(std::move(bipartite)) == StatusCode::kNonErgodicGraph);
 
+    // The one ergodicity walk from node 0 keeps the old precedence:
+    // disconnection wins over bipartiteness wherever node 0 sits.
+    SessionConfig lone;
+    lone.SetGraph(Graph::FromEdges(1, {}));
+    CHECK(CreateError(std::move(lone)) == StatusCode::kNonErgodicGraph);
+    SessionConfig stray;
+    stray.SetGraph(Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 0}}));
+    CHECK(CreateError(std::move(stray)) == StatusCode::kDisconnectedGraph);
+    SessionConfig even_then_odd;
+    even_then_odd.SetGraph(Graph::FromEdges(
+        7, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 5}, {5, 6}, {6, 4}}));
+    CHECK(CreateError(std::move(even_then_odd)) ==
+          StatusCode::kDisconnectedGraph);
+    SessionConfig odd_cycle;
+    odd_cycle.SetGraph(
+        Graph::FromEdges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}));
+    CHECK(Session::Create(std::move(odd_cycle)).ok());
+
     // ... unless explicitly allowed.
     SessionConfig allowed;
     allowed.SetGraph(Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}))
