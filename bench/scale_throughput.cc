@@ -383,8 +383,8 @@ int main() {
   t.Print();
 
   // ---- Sharded exchange sweep (DESIGN.md §11) -----------------------------
-  // One mid-size regular graph, the serial engine versus NS_SHARDS-style
-  // worker counts: reports/s plus the communication-cost columns —
+  // One mid-size regular graph, the serial engine versus
+  // ShardedResumeExchange at several worker counts: reports/s plus the communication-cost columns —
   // messages/round (== shards * (shards-1), coalescing working as designed)
   // and cross-shard bytes per round and per user-round.  The S=1 loopback
   // row is the "seam is free when unused" claim: it must track the serial

@@ -72,13 +72,18 @@ constexpr uint32_t kPrefetchAhead = 40;
 __attribute__((target("avx512f"))) void DerefAvx512(
     const NodeId* const* addrs, uint32_t base, uint32_t end_off,
     uint32_t* dests) {
+  // The masked gather with all eight lanes set and a zero pass-through is
+  // the plain gather: GCC 12's _mm512_i64gather_epi32 passes an undefined
+  // pass-through operand that -Wmaybe-uninitialized reports at -O2.
+  constexpr __mmask8 kAllLanes = 0xFF;
   uint32_t i = base;
   for (; i + 8 <= end_off; i += 8) {
     const __m512i a = _mm512_loadu_si512(addrs + (i - base));
     // ns-lint: allow(wire): SIMD register store into a local uint32 row —
     // an intrinsic-mandated pointer cast, nothing serialized
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dests + i),
-                        _mm512_i64gather_epi32(a, nullptr, 1));
+                        _mm512_mask_i64gather_epi32(_mm256_setzero_si256(),
+                                                    kAllLanes, a, nullptr, 1));
   }
   for (; i < end_off; ++i) dests[i] = *addrs[i - base];
 }

@@ -206,9 +206,11 @@ Status ShardedResumeExchange(const Graph& g, ExchangeResult* state,
                                        state->rounds);
   if (state->holdings.hosted()) {
     // The out-of-core tier (mmap-hosted stores) and the multi-process tier
-    // are separate scaling axes; Session::Validate reports the combination
-    // as a typed error before it can reach this fatal.
-    NETSHUFFLE_FATAL(
+    // are separate scaling axes: a forked worker cannot splice into a
+    // parent-owned mapped column.  *state is untouched, as on a transport
+    // failure.
+    return Status::Error(
+        StatusCode::kInvalidArgument,
         "ShardedResumeExchange: hosted (mmap-backed) stores are not "
         "supported by the sharded engine; unhost or run serial");
   }

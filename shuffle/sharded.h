@@ -42,9 +42,10 @@ struct ShardedOptions {
   TransportKind transport = TransportKind::kLoopback;
 };
 
-/// Communication-cost counters for one or more sharded runs (accumulated;
-/// Session keeps one across its Step calls).  Only cross-shard frames
-/// count: a shard's traffic to itself never touches the transport.
+/// Communication-cost counters for one or more sharded runs (accumulated,
+/// so a caller that resumes an exchange in chunks can keep one across its
+/// calls).  Only cross-shard frames count: a shard's traffic to itself
+/// never touches the transport.
 struct ShardedStats {
   size_t shards = 0;    // worker count of the last run
   uint64_t rounds = 0;  // exchange rounds accumulated into these counters
@@ -73,16 +74,15 @@ struct ShardedStats {
 /// The sharded counterpart of ResumeExchange: advances *state by
 /// options.rounds rounds across sharded.shards workers, bit-identical to
 /// the serial engine.  Same contracts as ResumeExchange (fatal on
-/// rounds == 0 and first_round mismatches); additionally requires a
-/// heap-backed state (fatal on a hosted store — the out-of-core tier and
-/// the multi-process tier are separate scaling axes, reported as a typed
-/// error at Session::Create/Validate before this fatal can be reached).
-/// Transport failures — peer death, framing corruption, short reads —
-/// surface as a typed kTransportError with *state UNCHANGED, so a serving
-/// loop (Session::Step) can report the error and keep its epoch intact.
+/// rounds == 0 and first_round mismatches).  A hosted (mmap-backed) state
+/// is a typed kInvalidArgument with *state UNCHANGED: the out-of-core tier
+/// and the multi-process tier are separate scaling axes.  Transport
+/// failures — peer death, framing corruption, short reads — surface as a
+/// typed kTransportError, likewise with *state UNCHANGED, so a serving loop
+/// can report the error and keep its epoch intact.
 ///
 /// `stats`, when non-null, is accumulated (not reset), so an incremental
-/// Step loop sums its communication cost across calls.
+/// loop of resumes sums its communication cost across calls.
 Status ShardedResumeExchange(const Graph& g, ExchangeResult* state,
                              const ExchangeOptions& options,
                              const ShardedOptions& sharded,

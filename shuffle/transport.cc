@@ -22,39 +22,6 @@
 
 namespace netshuffle {
 
-TransportKind ParseTransportKind(const char* value) {
-  if (value == nullptr || value[0] == '\0') return TransportKind::kLoopback;
-  if (strcmp(value, "loopback") == 0) return TransportKind::kLoopback;
-  if (strcmp(value, "process") == 0) return TransportKind::kProcess;
-  std::fprintf(stderr,
-               "netshuffle: NS_TRANSPORT='%s' is not a transport "
-               "(loopback|process); using loopback\n",
-               value);
-  return TransportKind::kLoopback;
-}
-
-size_t ParseShardCount(const char* value) {
-  if (value == nullptr || value[0] == '\0') return 1;
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = strtol(value, &end, 10);
-  if (errno != 0 || end == value || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr,
-                 "netshuffle: NS_SHARDS='%s' is not a shard count; "
-                 "running serial (1 shard)\n",
-                 value);
-    return 1;
-  }
-  if (parsed == 0) return 1;
-  if (static_cast<size_t>(parsed) > kMaxTransportShards) {
-    std::fprintf(stderr,
-                 "netshuffle: NS_SHARDS=%ld clamped to the relay cap %zu\n",
-                 parsed, kMaxTransportShards);
-    return kMaxTransportShards;
-  }
-  return static_cast<size_t>(parsed);
-}
-
 namespace {
 
 // ===========================================================================

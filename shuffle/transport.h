@@ -3,10 +3,10 @@
 // through an Endpoint.  Two implementations live behind the seam:
 //
 //   kLoopback — every worker is a dedicated thread in this process and a
-//       frame hop is a queue push.  Always available; what tests, CI, and
-//       the default NS_SHARDS>1 path use.  The frames still go through the
-//       full encode/checksum/decode path, so loopback exercises exactly the
-//       bytes the real transport would carry.
+//       frame hop is a queue push.  Always available; what the tests and
+//       the scale_throughput sweep use by default.  The frames still go
+//       through the full encode/checksum/decode path, so loopback exercises
+//       exactly the bytes the real transport would carry.
 //
 //   kProcess — every worker is a forked child on the far end of a
 //       socketpair, and the parent runs a non-blocking relay that routes
@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <vector>
 
@@ -42,30 +41,9 @@ inline const char* TransportKindName(TransportKind kind) {
   return kind == TransportKind::kProcess ? "process" : "loopback";
 }
 
-/// Parses a transport name: nullptr / "" / "loopback" -> kLoopback,
-/// "process" -> kProcess.  Anything else warns on stderr and falls back to
-/// kLoopback, in the spirit of the NS_THREADS/NS_BACKEND knob parsers.
-TransportKind ParseTransportKind(const char* value);
-
-/// The NS_TRANSPORT environment knob (CI's sharded leg runs both values).
-inline TransportKind EnvTransportKind() {
-  return ParseTransportKind(std::getenv("NS_TRANSPORT"));
-}
-
 /// Upper bound on the worker count: dst ids are u16 on the wire and the
 /// relay keeps O(shards) sockets + O(shards^2) logical flows.
 constexpr size_t kMaxTransportShards = 64;
-
-/// Parses the NS_SHARDS environment knob:
-///   - unset, empty, "0", or "1": serial (one shard, no transport);
-///   - 2..kMaxTransportShards: honored;
-///   - larger: clamped to kMaxTransportShards with a warning;
-///   - garbage: rejected with a warning, falling back to 1.
-size_t ParseShardCount(const char* value);
-
-inline size_t EnvShardCount() {
-  return ParseShardCount(std::getenv("NS_SHARDS"));
-}
 
 /// One worker's view of the transport.  Frames sent to `wire::kCoordinator`
 /// leave the worker mesh and land in RunShardWorkers' result slots; every

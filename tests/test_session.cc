@@ -602,6 +602,51 @@ int main() {
     CHECK(d.target_rounds() == target);
   }
 
+  // ---- SetShards accepts only 1 -------------------------------------------
+  {
+    // A Session runs one exchange path.  SetShards(1) is the default and
+    // changes nothing; any other count is refused, typed, at Validate and
+    // Create rather than ignored.
+    const Graph g = SmallExpander(120, 4);
+    auto make_config = [&]() {
+      SessionConfig cfg;
+      cfg.SetGraph(g).SetRounds(8).SetSeed(777);
+      return cfg;
+    };
+    SessionConfig plain_cfg = make_config();
+    SessionConfig one_cfg = make_config();
+    one_cfg.SetShards(1);
+    CHECK(Session::Validate(one_cfg).ok());
+    Expected<Session> plain = Session::Create(plain_cfg);
+    Expected<Session> one = Session::Create(one_cfg);
+    CHECK(plain.ok());
+    CHECK(one.ok());
+    CHECK(plain.value().Step(3).ok());
+    CHECK(plain.value().Step(5).ok());
+    CHECK(one.value().Step(3).ok());
+    CHECK(one.value().Step(5).ok());
+    const ProtocolResult want = plain.value().Finalize();
+    const ProtocolResult got = one.value().Finalize();
+    CHECK(got.rounds == want.rounds);
+    CHECK(got.server_inbox.size() == want.server_inbox.size());
+    for (size_t i = 0; i < want.server_inbox.size(); ++i) {
+      CHECK(got.server_inbox[i].id == want.server_inbox[i].id);
+      CHECK(got.server_inbox[i].origin == want.server_inbox[i].origin);
+      CHECK(got.server_inbox[i].final_holder ==
+            want.server_inbox[i].final_holder);
+    }
+    CHECK(one.value().Guarantee().epsilon == plain.value().Guarantee().epsilon);
+
+    for (size_t shards : {size_t{0}, size_t{2}}) {
+      SessionConfig cfg = make_config();
+      cfg.SetShards(shards);
+      const Status v = Session::Validate(cfg);
+      CHECK(v.code() == StatusCode::kInvalidArgument);
+      CHECK(v.message().find("ShardedResumeExchange") != std::string::npos);
+      CHECK(CreateError(cfg) == StatusCode::kInvalidArgument);
+    }
+  }
+
   // ---- Resume offset contract --------------------------------------------
   {
     // A first_round that disagrees with the executed rounds would silently

@@ -29,8 +29,9 @@ using namespace netshuffle;
 namespace {
 
 // Heap instrumentation for the workspace-reuse regression test below: when
-// armed, every global allocation adds its size to the counter.  Relaxed
-// atomics — the counted region runs single-threaded and only totals matter.
+// armed, every global allocation — on the stepping thread or a pool worker —
+// adds its size to the counter.  Relaxed atomics: only totals matter, and
+// the pool's round barriers order the workers' adds before the read.
 std::atomic<bool> g_count_allocs{false};
 std::atomic<size_t> g_alloc_bytes{0};
 
@@ -165,15 +166,17 @@ void CheckIncrementalEqualsOneShot(const Graph& g,
   CheckSameInbox(single_steps.Finalize(), oneshot);
 }
 
-// The ISSUE-7 workspace bugfix: a serving loop stepping one round at a time
-// must not re-pay the O(shards * n) routing-table allocation every call —
-// Session keeps one ExchangeWorkspace and ResumeExchange sizes it
-// idempotently, so once the buffers have reached steady-state capacity a
-// Step(1) allocates (essentially) nothing.  Pin that with a byte counter on
-// global operator new: a regression back to per-call allocation costs
-// ~hundreds of KB per step at this n and trips the bound immediately.
-void CheckSteadyStateStepsAllocationFree() {
-  SetThreadCount(1);
+// Workspace reuse: a serving loop stepping one round at a time must not
+// re-pay the O(n) routing-table allocation every call — Session keeps one
+// ExchangeWorkspace and ResumeExchange sizes it idempotently, so once the
+// buffers have reached steady-state capacity a Step(1) allocates
+// (essentially) nothing.  Pin that with a byte counter on global operator
+// new: a regression back to per-call allocation costs ~hundreds of KB per
+// step at this n and trips the bound immediately.  Run at width 1 (one
+// part, no batch columns) and at width 4 (four parts with bucketed batch
+// columns and per-part scratch).
+void CheckSteadyStateStepsAllocationFree(size_t threads) {
+  SetThreadCount(threads);
   Rng rng(77);
   SessionConfig config;
   config.SetGraph(MakeRandomRegular(20000, 8, &rng))
@@ -199,7 +202,9 @@ void CheckSteadyStateStepsAllocationFree() {
 
 int main() {
   const Graph g = TestGraph();
-  CheckSteadyStateStepsAllocationFree();
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    CheckSteadyStateStepsAllocationFree(threads);
+  }
 
   // The thread count must not change a single bit of any of this (the CI
   // matrix additionally runs the whole suite under NS_THREADS=1 and 4).

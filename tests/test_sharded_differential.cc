@@ -6,7 +6,7 @@
 // reference (tests/reference_exchange.h) is recomputed here and the sharded
 // engine is compared against it element-by-element, over
 //
-//   NS_SHARDS-style worker counts {1, 2, 4} (1 + loopback is the
+//   worker counts {1, 2, 4} (1 + loopback is the
 //   delegation fast path — the seam must be free when unused),
 //   x thread counts {1, 4} (shard partitioning and thread partitioning are
 //     independent axes; neither may leak into placement),
@@ -22,17 +22,17 @@
 // plus metrics equivalence (the merged per-shard ShuffleMetrics must equal
 // the serial observation sequence), communication-cost invariants
 // (messages == shards * (shards - 1) * rounds, split-invariant stats), and
-// the Session-level integration: SetShards sessions step/finalize
-// identically to serial ones, and shards > 1 with mmap storage is a typed
-// kInvalidArgument at Validate/Create.
+// the seam's storage contract: an mmap-hosted state is a typed
+// kInvalidArgument that leaves the state unchanged.
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <utility>
 #include <vector>
 
-#include "core/session.h"
 #include "graph/generators.h"
+#include "shuffle/backend.h"
 #include "shuffle/engine.h"
 #include "shuffle/fault.h"
 #include "shuffle/payload.h"
@@ -174,82 +174,61 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
               TransportKindName(transport));
 }
 
-// Session-level integration: a SetShards(2) session must step and finalize
-// identically to a serial one under any Step split, accumulate the
-// communication cost in sharded_stats(), and reject the shards + mmap
-// combination as a typed kInvalidArgument.
-void TestSessionSharded() {
+// The out-of-core tier and the multi-process tier are separate scaling
+// axes: a forked worker cannot splice into a parent-owned mapped column.
+// The seam refuses an mmap-hosted state with a typed kInvalidArgument and
+// leaves it unchanged — mid-exchange, on both transports — so the caller
+// can keep resuming it on the serial engine.
+void TestHostedStateRejected() {
+  Expected<std::shared_ptr<StorageBackend>> backend =
+      StorageBackend::Create(StorageBackendConfig{});
+  CHECK(backend.ok());
   Rng gen(424242);
   const Graph g = MakeRandomRegular(120, 4, &gen);
-  const size_t kRounds = 8;
+  const size_t n = g.num_nodes();
+  const uint64_t seed = 777;
 
-  auto make_config = [&]() {
-    SessionConfig cfg;
-    cfg.SetGraph(g).SetRounds(kRounds).SetSeed(777);
-    return cfg;
-  };
+  ExchangeOptions first;
+  first.rounds = 2;
+  first.seed = seed;
+  ExchangeResult state =
+      ResumeExchange(g, StartExchange(g, PatternArena(n, backend.value())),
+                     first);
+  CHECK(state.holdings.hosted());
+  std::vector<std::vector<ReportId>> ref = ReferenceInit(n);
+  for (size_t r = 0; r < first.rounds; ++r) {
+    ReferenceRound(g, r, seed, nullptr, &ref);
+  }
+  CheckIdentical(state, ref);
 
-  SessionConfig serial_cfg = make_config();
-  serial_cfg.SetShards(1);
-  Expected<Session> serial = Session::Create(serial_cfg);
-  CHECK(serial.ok());
-  CHECK(serial.value().Step(3).ok());
-  CHECK(serial.value().Step(5).ok());
-  const ProtocolResult want = serial.value().Finalize();
-  // A serial session puts nothing on the wire.
-  CHECK(serial.value().shards() == 1);
-  CHECK(serial.value().sharded_stats().messages == 0);
-  CHECK(serial.value().sharded_stats().cross_shard_bytes == 0);
-
+  ExchangeOptions next;
+  next.rounds = 3;
+  next.first_round = first.rounds;
+  next.seed = seed;
   for (TransportKind transport :
        {TransportKind::kLoopback, TransportKind::kProcess}) {
-    SessionConfig cfg = make_config();
-    cfg.SetShards(2).SetTransport(transport);
-    Expected<Session> sharded = Session::Create(cfg);
-    CHECK(sharded.ok());
-    Session& s = sharded.value();
-    CHECK(s.shards() == 2);
-    CHECK(s.transport() == transport);
-    // A different Step split than the serial session's 3+5.
-    CHECK(s.Step(1).ok());
-    CHECK(s.current_round() == 1);
-    CHECK(s.Step(7).ok());
-    CHECK(s.current_round() == kRounds);
-    const ProtocolResult got = s.Finalize();
-    CHECK(got.server_inbox.size() == want.server_inbox.size());
-    for (size_t i = 0; i < want.server_inbox.size(); ++i) {
-      CHECK(got.server_inbox[i].id == want.server_inbox[i].id);
-      CHECK(got.server_inbox[i].origin == want.server_inbox[i].origin);
-      CHECK(got.server_inbox[i].final_holder ==
-            want.server_inbox[i].final_holder);
-    }
-    // Step-accumulated communication cost: 2 workers, one frame per ordered
-    // pair per round, across both Step calls.
-    const ShardedStats& stats = s.sharded_stats();
-    CHECK(stats.shards == 2);
-    CHECK(stats.rounds == kRounds);
-    CHECK(stats.messages == 2 * 1 * kRounds);
-    CHECK(stats.cross_shard_bytes >= stats.messages * wire::kHeaderBytes);
-    CHECK(stats.MessagesPerRound() == 2.0);
-    std::printf("ok: session shards=2 transport=%s (split-identical)\n",
+    ShardedOptions sop;
+    sop.shards = 2;
+    sop.transport = transport;
+    ShardedStats stats;
+    const Status st = ShardedResumeExchange(g, &state, next, sop, &stats);
+    CHECK(!st.ok());
+    CHECK(st.code() == StatusCode::kInvalidArgument);
+    CHECK(state.rounds == first.rounds);
+    CHECK(state.holdings.hosted());
+    CheckIdentical(state, ref);
+    CHECK(stats.rounds == 0);
+    CHECK(stats.messages == 0);
+    std::printf("ok: shards=2 transport=%s refuses an mmap-hosted state\n",
                 TransportKindName(transport));
   }
 
-  // shards > 1 + out-of-core storage: the two scaling axes do not compose;
-  // typed kInvalidArgument at Validate AND Create.
-  {
-    SessionConfig cfg = make_config();
-    StorageBackendConfig storage;
-    storage.kind = StorageBackendKind::kMmap;
-    cfg.SetStorage(storage).SetShards(2);
-    const Status v = Session::Validate(cfg);
-    CHECK(!v.ok());
-    CHECK(v.code() == StatusCode::kInvalidArgument);
-    Expected<Session> created = Session::Create(cfg);
-    CHECK(!created.ok());
-    CHECK(created.status().code() == StatusCode::kInvalidArgument);
-    std::printf("ok: shards=2 + mmap storage rejected (kInvalidArgument)\n");
+  // The refused state still resumes on the serial engine.
+  state = ResumeExchange(g, std::move(state), next);
+  for (size_t r = first.rounds; r < first.rounds + next.rounds; ++r) {
+    ReferenceRound(g, r, seed, nullptr, &ref);
   }
+  CheckIdentical(state, ref);
 }
 
 }  // namespace
@@ -315,6 +294,6 @@ int main() {
     }
   }
 
-  TestSessionSharded();
+  TestHostedStateRejected();
   return 0;
 }

@@ -146,17 +146,23 @@ __attribute__((target("avx512f,avx512dq"))) inline void BatchStreamSeedsAvx512(
   const __m512i five = _mm512_set1_epi64(5);
   const __m512i nine = _mm512_set1_epi64(9);
   const __m512i seven = _mm512_set1_epi64(7);
+  // The shift, widen and rotate below use the zero-masking forms with all
+  // eight lanes set: the same instructions as the plain intrinsics, whose
+  // GCC 12 bodies pass an _mm512_undefined_epi32() pass-through operand
+  // that -Wmaybe-uninitialized reports at -O2.
+  constexpr __mmask8 kAll = 0xFF;
   // SplitMix64Finalize, written out three times below (a lambda would lose
   // the enclosing function's target attribute and fail to build).
-#define NETSHUFFLE_SM64_FINALIZE(z)                                          \
-  (z) = _mm512_mullo_epi64(_mm512_xor_si512((z), _mm512_srli_epi64((z), 30)),\
-                           mul1);                                            \
-  (z) = _mm512_mullo_epi64(_mm512_xor_si512((z), _mm512_srli_epi64((z), 27)),\
-                           mul2);                                            \
-  (z) = _mm512_xor_si512((z), _mm512_srli_epi64((z), 31))
+#define NETSHUFFLE_SM64_FINALIZE(z)                                         \
+  (z) = _mm512_mullo_epi64(                                                 \
+      _mm512_xor_si512((z), _mm512_maskz_srli_epi64(kAll, (z), 30)), mul1); \
+  (z) = _mm512_mullo_epi64(                                                 \
+      _mm512_xor_si512((z), _mm512_maskz_srli_epi64(kAll, (z), 27)), mul2); \
+  (z) = _mm512_xor_si512((z), _mm512_maskz_srli_epi64(kAll, (z), 31))
   size_t i = 0;
   for (; i + 8 <= count; i += 8) {
-    const __m512i u = _mm512_cvtepu32_epi64(
+    const __m512i u = _mm512_maskz_cvtepu32_epi64(
+        kAll,
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(users + i)));
     // inner = HashCombine(round, u)
     __m512i s = _mm512_xor_si512(a_round, _mm512_add_epi64(u, add_round));
@@ -170,9 +176,9 @@ __attribute__((target("avx512f,avx512dq"))) inline void BatchStreamSeedsAvx512(
     // FirstRawDraw(stream)
     __m512i z = _mm512_add_epi64(t, _mm512_add_epi64(gamma, gamma));
     NETSHUFFLE_SM64_FINALIZE(z);
-    z = _mm512_mullo_epi64(_mm512_rolv_epi64(_mm512_mullo_epi64(z, five),
-                                             seven),
-                           nine);
+    z = _mm512_mullo_epi64(
+        _mm512_maskz_rolv_epi64(kAll, _mm512_mullo_epi64(z, five), seven),
+        nine);
     _mm512_storeu_si512(firsts + i, z);
   }
 #undef NETSHUFFLE_SM64_FINALIZE
