@@ -185,6 +185,8 @@ SpectralGapEstimate EstimateSpectralGap(const Graph& g, size_t max_iterations,
       std::min(1.0, 0.5 * kSpectralFailureProbability *
                         std::sqrt(kPi / (2.0 * (dims - 1.0))));
   const double log_target = -std::log(c0);
+  // MixingTime's numerator, for the rounds rule's goal.
+  const double log_n = std::log(static_cast<double>(std::max<size_t>(n, 2)));
   // Rounding allowance per Lanczos step: a matvec row sums at most
   // max_degree terms of the norm-1 operator, and the axpys, deflation and
   // normalization add a few roundings more (DESIGN.md §2).
@@ -305,12 +307,24 @@ SpectralGapEstimate EstimateSpectralGap(const Graph& g, size_t max_iterations,
       out.converged = true;
       break;
     }
-    // The stopping rule holds iff both ends exclude everything beyond the
-    // U with U - lambda = tolerance (1 - U), less the margin: one probe per
-    // end.  The bisections for the exact bound run only when it holds or
-    // the cap is reached.
-    const double goal =
-        (out.lambda + tolerance) / (1.0 + tolerance) - margin;
+    // Two stopping rules; the first to hold ends the estimate.  Tolerance:
+    // lambda_upper - lambda <= tolerance (1 - lambda_upper).  Rounds:
+    // lambda_upper prices the same MixingTime as the Ritz value, so no
+    // later step can remove a round — the Ritz value never decreases with
+    // k and never exceeds the true lambda.  The rounds rule stays off at
+    // MixingTime's cap, where the round count no longer tracks the gap,
+    // and never fires on an uncertified lambda_upper = 1.
+    const size_t ritz_rounds = MixingTime(1.0 - out.lambda, n);
+    const bool rounds_rule = ritz_rounds < kMaxMixingRounds;
+    // A rule can hold only if both ends exclude everything beyond its
+    // largest admissible U, less the margin: one probe per end at the
+    // looser goal.  The bisections for the exact bound run only when the
+    // probes pass or the cap is reached.
+    double goal = (out.lambda + tolerance) / (1.0 + tolerance);
+    if (rounds_rule) {
+      goal = std::max(goal, 1.0 - log_n / static_cast<double>(ritz_rounds));
+    }
+    goal -= margin;
     const bool within =
         top.Excludes(goal, log_beta_product, log_target) &&
         bottom.Excludes(goal, log_beta_product, log_target);
@@ -321,8 +335,14 @@ SpectralGapEstimate EstimateSpectralGap(const Graph& g, size_t max_iterations,
         -bottom.EdgeBound(neg_theta_min, log_beta_product, log_target);
     out.lambda_upper = std::min(
         1.0, std::max(std::fabs(mu_hi), std::fabs(mu_lo)) + margin);
-    if (out.lambda_upper - out.lambda <=
-        tolerance * (1.0 - out.lambda_upper)) {
+    // The exact comparisons decide: ceil in MixingTime is sensitive to the
+    // last bit, which the goal probe cannot see.
+    const bool tight = out.lambda_upper - out.lambda <=
+                       tolerance * (1.0 - out.lambda_upper);
+    const bool same_rounds =
+        rounds_rule && out.lambda_upper < 1.0 &&
+        MixingTime(1.0 - out.lambda_upper, n) == ritz_rounds;
+    if (tight || same_rounds) {
       out.converged = true;
       break;
     }

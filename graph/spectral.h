@@ -38,17 +38,24 @@ struct SpectralGapEstimate {
   double lambda_upper = 1.0;
   /// Lanczos steps taken (one operator application each).
   size_t iterations = 0;
-  /// True when lambda_upper - lambda <= tolerance * (1 - lambda_upper), or
-  /// the Krylov space was exhausted (an exact result); false when the
-  /// iteration cap stopped the estimate first.
+  /// True when a stopping rule held: the tolerance rule, lambda_upper -
+  /// lambda <= tolerance * (1 - lambda_upper); the rounds rule,
+  /// MixingTime(1 - lambda_upper, n) == MixingTime(1 - lambda, n) below
+  /// kMaxMixingRounds, so no further step could remove a round; or an
+  /// exhausted Krylov space (an exact result).  False when the iteration
+  /// cap stopped the estimate first.
   bool converged = false;
 };
 
-/// Deflated Lanczos with the certified stopping rule above.  Deterministic:
-/// the Gaussian start is seeded from the graph size, never the caller, and
-/// every reduction sums fixed blocks in block order, so the whole estimate
-/// is bit-identical at any thread count.  O(iterations * m) time, five
-/// n-vectors of memory.
+/// Deflated Lanczos, stopped by whichever certified stopping rule above
+/// holds first, with n = g.num_nodes().  The rounds rule ends the estimate
+/// as soon as its round count is final; the tolerance rule is the backstop,
+/// and fires first when the gap prices hundreds of rounds or more.
+/// Neither rule changes the certificate, only the step it is read at.
+/// Deterministic: the Gaussian start is seeded from the graph size, never
+/// the caller, and every reduction sums fixed blocks in block order, so the
+/// whole estimate is bit-identical at any thread count.  O(iterations * m)
+/// time, five n-vectors of memory.
 SpectralGapEstimate EstimateSpectralGap(const Graph& g,
                                         size_t max_iterations = 300,
                                         double tolerance = 0.02);

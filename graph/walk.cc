@@ -108,7 +108,7 @@ size_t MixingTime(double spectral_gap, size_t n) {
   // walk never mixes; cap the round count so callers that drive a protocol
   // loop with this value terminate instead of hanging, and let the
   // amplification bounds report the (lack of) privacy honestly.
-  constexpr double kMaxRounds = 1e6;
+  constexpr double kMaxRounds = static_cast<double>(kMaxMixingRounds);
   const double gap = std::max(spectral_gap, 1e-12);
   const double t =
       std::ceil(std::log(static_cast<double>(std::max<size_t>(n, 2))) / gap);

@@ -61,7 +61,12 @@ double StationaryGamma(const Graph& g);
 double SumSquaresBound(double stationary_sum_squares, double spectral_gap,
                        size_t t);
 
-/// t* = ceil(log(n) / gap) — the operating point used throughout the paper.
+/// MixingTime's round cap: a vanishing gap (disconnected / bipartite /
+/// degenerate graph) reports this many rounds instead of an unbounded count.
+inline constexpr size_t kMaxMixingRounds = 1000000;
+
+/// t* = ceil(log(n) / gap), the operating point used throughout the paper,
+/// capped at kMaxMixingRounds.
 size_t MixingTime(double spectral_gap, size_t n);
 
 }  // namespace netshuffle

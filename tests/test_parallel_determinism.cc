@@ -135,6 +135,26 @@ int main() {
     CHECK(t4.mc_mean <= t4.mc_quantile + 1e-12);
   }
 
+  // A graph large enough that the stopping rules are tested at every
+  // Lanczos step, where a thread-dependent last bit would move the stop.
+  {
+    Rng ba_rng(7);
+    const Graph big = MakeBarabasiAlbert(20000, 10, &ba_rng);
+    SetThreadCount(1);
+    const SpectralGapEstimate s1 = EstimateSpectralGap(big);
+    CHECK(s1.converged);
+    CHECK(s1.gap > 0.0);
+    for (size_t threads : {2, 4, 64}) {
+      SetThreadCount(threads);
+      const SpectralGapEstimate s = EstimateSpectralGap(big);
+      CHECK(s.gap == s1.gap);
+      CHECK(s.lambda == s1.lambda);
+      CHECK(s.lambda_upper == s1.lambda_upper);
+      CHECK(s.iterations == s1.iterations);
+      CHECK(s.converged == s1.converged);
+    }
+  }
+
   SetThreadCount(0);
   return 0;
 }

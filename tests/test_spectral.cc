@@ -1,7 +1,9 @@
 // Closed-form oracles for the certified spectral gap (graph/spectral.h).
 // Cycles, tori and circulants have known spectra; the certified bound must
-// never sit below the exact max(|lambda_2|, |lambda_n|), and once converged
-// it must land within 1% of the exact gap.
+// never sit below the exact max(|lambda_2|, |lambda_n|), and once the
+// tolerance rule stops the estimate it must land within 1% of the exact
+// gap.  The rounds rule, which stops once no further step can remove a
+// MixingTime round, gets its own cases at a round boundary and at the cap.
 
 #include "graph/spectral.h"
 
@@ -48,8 +50,10 @@ double CirculantLambda(size_t n, size_t k) {
 }
 
 // Raised cap and a 0.5% tolerance: converged estimates must be safe and
-// within 1% of the exact gap.
-void CheckCertified(const char* name, const Graph& g, double exact) {
+// within 1% of the exact gap.  These spectra price hundreds of rounds or
+// more, so the tolerance rule fires before the rounds rule could.
+SpectralGapEstimate CheckCertified(const char* name, const Graph& g,
+                                   double exact) {
   const SpectralGapEstimate est = EstimateSpectralGap(g, 5000, 0.005);
   const double exact_gap = 1.0 - exact;
   std::printf("%-16s iters %-5zu ritz %.9f upper %.9f exact %.9f\n", name,
@@ -60,6 +64,7 @@ void CheckCertified(const char* name, const Graph& g, double exact) {
   CHECK(est.gap == 1.0 - est.lambda_upper);
   CHECK(est.gap <= exact_gap);
   CHECK(est.gap >= 0.99 * exact_gap);
+  return est;
 }
 
 }  // namespace
@@ -68,9 +73,25 @@ int main() {
   // Odd cycles C_n: lambda = cos(pi / n), the near -1 end of the spectrum,
   // which the *absolute* gap must capture.  Small ones exhaust the Krylov
   // space (beta = 0 breakdown), an exact result.
-  for (size_t n : {5, 11, 101, 1001}) {
+  for (size_t n : {5, 11, 101}) {
     CheckCertified("cycle", MakeCirculant(n, 2),
                    std::cos(kPi / static_cast<double>(n)));
+  }
+  // The 1001-cycle's Ritz value prices more than MixingTime's cap of
+  // rounds, so the rounds rule stays off and the tolerance rule alone
+  // stops it.
+  {
+    const Graph cycle = MakeCirculant(1001, 2);
+    const SpectralGapEstimate est =
+        CheckCertified("cycle", cycle, std::cos(kPi / 1001.0));
+    CHECK(MixingTime(1.0 - est.lambda, 1001) == kMaxMixingRounds);
+    CHECK(est.iterations == 1162);
+    // Capped at 1000 steps, the bound is below 1 but still loose.  It and
+    // the Ritz value both price the cap, which is no final round count.
+    const SpectralGapEstimate capped = EstimateSpectralGap(cycle, 1000, 0.005);
+    CHECK(capped.lambda_upper < 1.0);
+    CHECK(MixingTime(capped.gap, 1001) == kMaxMixingRounds);
+    CHECK(!capped.converged);
   }
   // Odd tori: bottom end -cos(pi / w).
   for (size_t w : {9, 51, 101}) {
@@ -128,11 +149,37 @@ int main() {
   CHECK(capped.lambda_upper >= reg_est.lambda);
 
   // A long odd cycle cannot be certified in 300 steps: lambda_upper = 1,
-  // never a capped optimistic value.
+  // never a capped optimistic value.  Its Ritz value, far from converged,
+  // prices fewer rounds than MixingTime's cap, so the rounds rule is live
+  // here: it must not fire on an uncertified bound.
   const SpectralGapEstimate slow = EstimateSpectralGap(MakeCirculant(20001, 2));
   CHECK(!slow.converged);
   CHECK(slow.iterations == 300);
   CHECK(slow.lambda_upper == 1.0);
   CHECK(slow.gap == 0.0);
+  CHECK(MixingTime(1.0 - slow.lambda, 20001) < kMaxMixingRounds);
+
+  // The rounds rule at a round boundary.  This expander is large enough
+  // that the rule is tested at every step, and it stops the estimate while
+  // the tolerance rule still fails: the certified gap already prices the
+  // Ritz value's round count.  One step fewer certifies exactly one round
+  // more, so the stop came no later than needed.
+  {
+    Rng boundary_rng(3);
+    const Graph g = MakeRandomRegular(20000, 20, &boundary_rng);
+    const size_t n = g.num_nodes();
+    const SpectralGapEstimate est = EstimateSpectralGap(g);
+    std::printf("boundary         iters %-5zu ritz %.9f upper %.9f\n",
+                est.iterations, est.lambda, est.lambda_upper);
+    CHECK(est.converged);
+    CHECK(est.iterations == 108);
+    CHECK(est.lambda_upper >= est.lambda);
+    CHECK(MixingTime(est.gap, n) == MixingTime(1.0 - est.lambda, n));
+    CHECK(est.lambda_upper - est.lambda > 0.02 * (1.0 - est.lambda_upper));
+    const SpectralGapEstimate before =
+        EstimateSpectralGap(g, est.iterations - 1);
+    CHECK(!before.converged);
+    CHECK(MixingTime(before.gap, n) == MixingTime(est.gap, n) + 1);
+  }
   return 0;
 }
