@@ -14,8 +14,8 @@
 //                      read-only at Freeze/Seal; the double-buffered
 //                      routing columns live in two mmap'd files that the
 //                      engine drives with round-granular
-//                      madvise(WILLNEED/DONTNEED) from its per-shard
-//                      slices, so resident memory is a working set, not
+//                      madvise(WILLNEED/DONTNEED), one call each per
+//                      round, so resident memory is a working set, not
 //                      the population.
 //
 // The hop/scatter kernels (DESIGN.md §4e) never see the difference: both

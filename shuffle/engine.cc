@@ -37,14 +37,6 @@ size_t ShuffleMetrics::max_user_memory() const {
 
 namespace {
 
-// Upper bound on the number of routing parts.  Part count is
-// scheduling-only (results are bit-identical at any value), but the move
-// step hands over a parts x parts table of batches and every arriving part
-// scans it for its base slot, so the cap bounds that table and scan even
-// under extreme NS_THREADS settings.
-constexpr size_t kMaxRoutingShards = 32;
-static_assert(kMaxRoutingShards <= engine_internal::kMaxBucketParts);
-
 // Holders per hop tile (DESIGN.md §4e): each shard processes this many
 // holders' coins before mapping them to destinations, so the coin column,
 // the address column, and the matching dest slice stay cache-resident
@@ -242,12 +234,17 @@ void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
     return;
   }
 
-  // A tile holds at most kCoinTile holders (each holder holds at least one
-  // report), so the per-holder columns have a fixed size; coins/addrs are
-  // per-report and grow below if a single holding outgrows the tile.
-  scratch->streams.resize(kCoinTile);
-  scratch->firsts.resize(kCoinTile);
-  scratch->multi.resize(kCoinTile);
+  // A tile holds at most min(kCoinTile, holders) holders (each holder holds
+  // at least one report), so the per-holder columns need no more entries
+  // and a small part never faults in a full tile; coins/addrs are
+  // per-report and grow below if a single holding outgrows the tile.  All
+  // grow-only, so a reused scratch settles.
+  const size_t tile = std::min<size_t>(kCoinTile, holders);
+  if (scratch->streams.size() < tile) {
+    scratch->streams.resize(tile);
+    scratch->firsts.resize(tile);
+    scratch->multi.resize(tile);
+  }
   uint64_t* const streams = scratch->streams.data();
   uint64_t* const firsts = scratch->firsts.data();
   uint32_t* const multi = scratch->multi.data();
@@ -262,7 +259,7 @@ void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
     const size_t h1 = std::min(h0 + kCoinTile, holders);
     const uint32_t end_off = holder_b[h1];
     if (scratch->coins.size() < end_off - base) {
-      scratch->coins.resize(std::max<size_t>(end_off - base, kCoinTile));
+      scratch->coins.resize(std::max<size_t>(end_off - base, tile));
       scratch->addrs.resize(scratch->coins.size());
     }
     uint64_t* const coins = scratch->coins.data();
@@ -535,14 +532,15 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     workspace->next_.Host(store.backend(), "route");
   }
 
-  // Users are split into contiguous parts, one per pool slot.  The part
-  // count only affects scheduling: every RNG draw comes from a
-  // per-(round, user) stream, and the arrive phase fills each destination's
-  // slice in ascending (source part, sender) order — which for contiguous
-  // ascending parts is just ascending sender order — so the holdings are
-  // bit-identical for any thread count (including 1).
-  const size_t parts = std::min(
-      {std::max<size_t>(ThreadCount(), 1), n, kMaxRoutingShards});
+  // Users are split into contiguous parts, four per pool slot (one at width
+  // 1), so the hub-heavy id ranges of a heavy-tailed graph spread over the
+  // pool (engine_internal::RoutingParts).  The part count only affects
+  // scheduling: every RNG draw comes from a per-(round, user) stream, and
+  // the arrive phase fills each destination's slice in ascending (source
+  // part, sender) order — which for contiguous ascending parts is just
+  // ascending sender order — so the holdings are bit-identical for any
+  // thread count (including 1).
+  const size_t parts = engine_internal::RoutingParts(ThreadCount(), n);
 
   // Size the reusable scratch (engine.h lists the buffers).  Every target
   // depends only on (n, total, parts) — the hop tiles also grow to the
@@ -575,15 +573,11 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     const uint32_t* offsets = store.offsets_data();
     const ReportId* arena = store.arena_data();
 
-    // Out-of-core schedule (DESIGN.md §9): prefault each part's source
-    // slice before the hop walks it, one madvise(WILLNEED) per part slice,
-    // recorded in the backend's per-block touch accounting.  Heap stores:
-    // one branch, nothing else.
-    if (store.hosted()) {
-      for (size_t c = 0; c < parts; ++c) {
-        store.AdviseWillNeed(offsets[bounds[c]], offsets[bounds[c + 1]]);
-      }
-    }
+    // Out-of-core schedule (DESIGN.md §9): prefault the whole source arena
+    // before the hop walks it, one madvise(WILLNEED) per round whatever the
+    // part count, recorded in the backend's per-block touch accounting.
+    // Heap stores: one branch, nothing else.
+    if (store.hosted()) store.AdviseWillNeed(0, offsets[n]);
 
     // Hop + bucket (parallel over source parts).  The first round's holder
     // lists come from the incoming store; later rounds get theirs from the

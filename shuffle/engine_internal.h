@@ -8,11 +8,12 @@
 //
 // Not part of the public API: the contracts here (sentinel-terminated holder
 // lists, batches whose destination column the arrive phase overwrites) are
-// engine plumbing.  Include from shuffle/ only.
+// engine plumbing.  Include from shuffle/ and its unit tests only.
 
 #ifndef NETSHUFFLE_SHUFFLE_ENGINE_INTERNAL_H_
 #define NETSHUFFLE_SHUFFLE_ENGINE_INTERNAL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -94,6 +95,26 @@ constexpr size_t kMaxBucketParts = 64;
 void BucketPart(const ReportId* ids, uint32_t* dests, uint32_t begin,
                 uint32_t end, const uint32_t* bounds, size_t parts,
                 ReportId* out_ids, uint32_t* out_dests, PartScratch* scratch);
+
+/// Upper bound on the serial engine's part count.  The move step hands over
+/// a parts x parts table of batches and every arriving part scans it for
+/// its base slot, an O(parts^2) pass, so the cap bounds that table and that
+/// scan at any pool width.
+constexpr size_t kMaxRoutingParts = 32;
+static_assert(kMaxRoutingParts <= kMaxBucketParts);
+
+/// The serial engine's part count over n >= 1 users on a pool `width`
+/// slots wide: four contiguous parts per slot, clamped to n and
+/// kMaxRoutingParts.  At stationarity a user holds reports in proportion
+/// to its degree, so on a heavy-tailed graph one id range can carry most
+/// of a round's work; more parts than slots let the pool spread it
+/// (DESIGN.md §4b).  Width 1 keeps a single part, which passes its source
+/// slice through and needs no batch columns.  Scheduling only: the
+/// holdings are bit-identical at any part count.
+inline size_t RoutingParts(size_t width, size_t n) {
+  if (width <= 1) return 1;
+  return std::min({4 * width, n, kMaxRoutingParts});
+}
 
 /// Arrive: sorts the batches destined for users [first_user, first_user +
 /// width) into next_arena.  Counts each destination's load into counts

@@ -15,10 +15,11 @@
 // Storage seam (DESIGN.md §9): both columns are FlatColumn<T>, heap vectors
 // by default.  Host() moves them onto a StorageBackend as two mmap'd files
 // (ids + offsets), after which the engine drives round-granular
-// madvise(WILLNEED/DONTNEED) through AdviseWillNeed/AdviseDontNeedAll so a
-// file-backed exchange keeps only the active shard slices resident.  The
-// accessors hand out the same raw pointers either way — the hop/scatter
-// kernels cannot tell the difference.
+// madvise(WILLNEED/DONTNEED) through AdviseWillNeed/AdviseDontNeedAll — one
+// WILLNEED per round over the source arena, one DONTNEED over the consumed
+// buffer — so a file-backed exchange keeps a round's working set resident,
+// not the population.  The accessors hand out the same raw pointers either
+// way — the hop/scatter kernels cannot tell the difference.
 
 #ifndef NETSHUFFLE_SHUFFLE_STORE_H_
 #define NETSHUFFLE_SHUFFLE_STORE_H_
@@ -157,7 +158,7 @@ class ReportStore {
   }
 
   /// Prefaults the arena slice holding reports [first_report, end_report)
-  /// ahead of a shard's hop pass and records the touch in the backend's
+  /// ahead of a round's hop pass and records the touch in the backend's
   /// block accounting.  Heap stores: no-op.
   void AdviseWillNeed(size_t first_report, size_t end_report) const {
     if (end_report > first_report) {

@@ -2,7 +2,7 @@
 // engines against (tests/test_kernel_differential.cc, test_flat_store.cc,
 // test_sharded_differential.cc): a naive scalar implementation of the
 // protocol's round schedule, plus the patterned payloads and the
-// element-by-element comparison the tests share.
+// element-by-element comparisons the tests share.
 //
 // The schedule, kept deliberately naive: users in ascending order, one fresh
 // Rng per (seed, round, user), the Awake coin before any destination draw,
@@ -112,6 +112,23 @@ inline void CheckIdentical(const ExchangeResult& ex,
       CHECK(arena.origin(span[i]) == ref[u][i]);
       CHECK(arena.payload(span[i]).ToBytes() == PatternPayload(ref[u][i]));
     }
+  }
+}
+
+/// Two finalized inboxes are identical: same rounds and dummy/drop counts,
+/// and the same (id, origin, final holder, payload bytes) in every slot.
+inline void CheckSameInbox(const netshuffle::ProtocolResult& a,
+                           const netshuffle::ProtocolResult& b) {
+  CHECK(a.rounds == b.rounds);
+  CHECK(a.dummy_reports == b.dummy_reports);
+  CHECK(a.dropped_reports == b.dropped_reports);
+  CHECK(a.server_inbox.size() == b.server_inbox.size());
+  for (size_t i = 0; i < a.server_inbox.size(); ++i) {
+    CHECK(a.server_inbox[i].id == b.server_inbox[i].id);
+    CHECK(a.server_inbox[i].origin == b.server_inbox[i].origin);
+    CHECK(a.server_inbox[i].final_holder == b.server_inbox[i].final_holder);
+    CHECK(a.payloads->payload(a.server_inbox[i].id).ToBytes() ==
+          b.payloads->payload(b.server_inbox[i].id).ToBytes());
   }
 }
 

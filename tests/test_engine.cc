@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "shuffle/engine_internal.h"
 #include "shuffle/fault.h"
 #include "shuffle/server.h"
 #include "tests/test_util.h"
@@ -11,6 +12,20 @@
 using namespace netshuffle;
 
 int main() {
+  // The part-count rule: one part at width 1, four per pool slot above it,
+  // clamped to the user count and to the routing-table cap.
+  {
+    using engine_internal::kMaxRoutingParts;
+    using engine_internal::RoutingParts;
+    CHECK(RoutingParts(1, 1000000) == 1);
+    CHECK(RoutingParts(2, 1000000) == 8);
+    CHECK(RoutingParts(4, 1000000) == 16);
+    CHECK(kMaxRoutingParts == 32);
+    CHECK(RoutingParts(8, 1000000) == kMaxRoutingParts);
+    CHECK(RoutingParts(33, 1000000) == kMaxRoutingParts);
+    CHECK(RoutingParts(4, 11) == 11);
+  }
+
   const size_t n = 3000, k = 8, rounds = 20;
   Rng rng(5);
   Graph g = MakeRandomRegular(n, k, &rng);

@@ -11,9 +11,10 @@
 // whose mapped columns must be bit-identical to the in-RAM run at every
 // thread count.
 //
-// Also: ReportStore unit checks, and an NS_SCALE-gated 10^6-node smoke test
-// pinning the routing buffers' per-user memory bound (~8 bytes/user since
-// ids replaced 16-byte structs).
+// Also: ReportStore unit checks, the hosted exchange's block accounting (one
+// WILLNEED per round at any pool width), and an NS_SCALE-gated 10^6-node
+// smoke test pinning the routing buffers' per-user memory bound (~8
+// bytes/user since ids replaced 16-byte structs).
 
 #include <cstdlib>
 #include <memory>
@@ -131,6 +132,41 @@ int main() {
                      backend.value());
     CheckEquivalence(*g, /*rounds=*/13, /*seed=*/2022, &lazy, backend.value());
     CheckEquivalence(*g, /*rounds=*/1, /*seed=*/5, nullptr, backend.value());
+  }
+
+  // ---- One WILLNEED per round, whatever the part count ---------------------
+  // The hosted exchange advises the whole source arena once per round, so
+  // the block accounting cannot grow with the pool width (per-part advice
+  // would re-touch every block a part boundary falls in).  4 KB blocks put
+  // the 80 KB arena over 20 of them.
+  {
+    StorageBackendConfig config;
+    config.block_bytes = 4096;
+    Expected<std::shared_ptr<StorageBackend>> small_blocks =
+        StorageBackend::Create(config);
+    CHECK(small_blocks.ok());
+    const size_t n = 20000, rounds = 3;
+    Rng ba_rng(9);
+    const Graph g = MakeBarabasiAlbert(n, 4, &ba_rng);
+    const uint64_t blocks = (n * sizeof(ReportId) + 4095) / 4096;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      SetThreadCount(threads);
+      ExchangeResult start =
+          StartExchange(g, PatternArena(n, small_blocks.value()));
+      ExchangeOptions opts;
+      opts.rounds = rounds;
+      opts.seed = 3;
+      const StorageIoStats before = small_blocks.value()->stats();
+      const ExchangeResult ex = ResumeExchange(g, std::move(start), opts);
+      const StorageIoStats after = small_blocks.value()->stats();
+      CHECK(ex.holdings.hosted());
+      CHECK(after.block_touches - before.block_touches == rounds * blocks);
+      CHECK(after.block_bytes_advised - before.block_bytes_advised ==
+            rounds * blocks * 4096);
+      CHECK(after.logical_bytes_advised - before.logical_bytes_advised ==
+            rounds * n * sizeof(ReportId));
+    }
+    SetThreadCount(0);
   }
 
   // ---- 10^6-node arena smoke (NS_SCALE-gated) -----------------------------

@@ -11,11 +11,13 @@
 #include "graph/walk.h"
 #include "shuffle/engine.h"
 #include "shuffle/fault.h"
+#include "tests/reference_exchange.h"
 #include "tests/test_util.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
 using namespace netshuffle;
+using netshuffle_test::CheckSameInbox;
 
 namespace {
 
@@ -107,6 +109,32 @@ void CheckIdentical(const Snapshot& a, const Snapshot& b) {
   }
 }
 
+// The exchange half of the heavy-tailed case: the flat holdings (CSR
+// offsets and arena) and the finalized inboxes of a 12-round exchange.
+struct HeavyTailedRun {
+  std::vector<uint32_t> offsets;
+  std::vector<ReportId> arena;
+  ProtocolResult all;
+  ProtocolResult single;
+};
+
+HeavyTailedRun RunHeavyTailed(const Graph& g) {
+  ExchangeOptions opts;
+  opts.rounds = 12;
+  opts.seed = 2022;
+  const ExchangeResult ex = RunExchange(g, opts);
+  const ReportStore& store = ex.holdings;
+  HeavyTailedRun run;
+  run.offsets.assign(store.offsets_data(),
+                     store.offsets_data() + store.num_users() + 1);
+  run.arena.assign(store.arena_data(),
+                   store.arena_data() + store.num_reports());
+  run.all = FinalizeProtocol(ex, ReportingProtocol::kAll, 11);
+  run.single = FinalizeProtocol(ex, ReportingProtocol::kSingle, 11);
+  CHECK(run.all.server_inbox.size() == g.num_nodes());
+  return run;
+}
+
 }  // namespace
 
 int main() {
@@ -125,8 +153,8 @@ int main() {
     size_t total = 0;
     for (const auto& held : t4.holdings) total += held.size();
     CHECK(total == g->num_nodes());
-    // The shard cap (routing-table memory bound) must not break identity
-    // above it either.
+    // The part cap (routing-table bound) must not break identity above it
+    // either.
     const Snapshot t64 = RunAll(*g, 64);
     CheckIdentical(t1, t64);
     CHECK(t4.spectral.converged);
@@ -137,6 +165,10 @@ int main() {
 
   // A graph large enough that the stopping rules are tested at every
   // Lanczos step, where a thread-dependent last bit would move the stop.
+  // Its hubs sit at the lowest ids and hold reports in proportion to their
+  // degree, so the exchange's contiguous parts carry very unequal loads:
+  // widths 1/2/3/4/64 run 1/8/12/16/32 parts, and the holdings and both
+  // protocols' inboxes must not change a bit.
   {
     Rng ba_rng(7);
     const Graph big = MakeBarabasiAlbert(20000, 10, &ba_rng);
@@ -144,7 +176,8 @@ int main() {
     const SpectralGapEstimate s1 = EstimateSpectralGap(big);
     CHECK(s1.converged);
     CHECK(s1.gap > 0.0);
-    for (size_t threads : {2, 4, 64}) {
+    const HeavyTailedRun e1 = RunHeavyTailed(big);
+    for (size_t threads : {2, 3, 4, 64}) {
       SetThreadCount(threads);
       const SpectralGapEstimate s = EstimateSpectralGap(big);
       CHECK(s.gap == s1.gap);
@@ -152,6 +185,11 @@ int main() {
       CHECK(s.lambda_upper == s1.lambda_upper);
       CHECK(s.iterations == s1.iterations);
       CHECK(s.converged == s1.converged);
+      const HeavyTailedRun e = RunHeavyTailed(big);
+      CHECK(e.offsets == e1.offsets);
+      CHECK(e.arena == e1.arena);
+      CheckSameInbox(e.all, e1.all);
+      CheckSameInbox(e.single, e1.single);
     }
   }
 

@@ -20,11 +20,13 @@
 #include "graph/spectral.h"
 #include "graph/walk.h"
 #include "shuffle/engine.h"
+#include "tests/reference_exchange.h"
 #include "tests/test_util.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
 using namespace netshuffle;
+using netshuffle_test::CheckSameInbox;
 
 namespace {
 
@@ -71,22 +73,6 @@ struct MetricsSnapshot {
 
 MetricsSnapshot Snapshot(const ShuffleMetrics& m) {
   return {m.max_user_traffic(), m.mean_user_traffic(), m.max_user_memory()};
-}
-
-void CheckSameInbox(const ProtocolResult& a, const ProtocolResult& b) {
-  CHECK(a.rounds == b.rounds);
-  CHECK(a.dummy_reports == b.dummy_reports);
-  CHECK(a.dropped_reports == b.dropped_reports);
-  CHECK(a.server_inbox.size() == b.server_inbox.size());
-  for (size_t i = 0; i < a.server_inbox.size(); ++i) {
-    CHECK(a.server_inbox[i].id == b.server_inbox[i].id);
-    CHECK(a.server_inbox[i].origin == b.server_inbox[i].origin);
-    CHECK(a.server_inbox[i].final_holder == b.server_inbox[i].final_holder);
-    // The payload bytes behind the id must agree too (both identity arenas
-    // here, but the check keeps the contract honest).
-    CHECK(a.payloads->payload(a.server_inbox[i].id).ToBytes() ==
-          b.payloads->payload(b.server_inbox[i].id).ToBytes());
-  }
 }
 
 Session MakeSession(const Graph& g, ReportingProtocol protocol,
@@ -173,8 +159,8 @@ void CheckIncrementalEqualsOneShot(const Graph& g,
 // (essentially) nothing.  Pin that with a byte counter on global operator
 // new: a regression back to per-call allocation costs ~hundreds of KB per
 // step at this n and trips the bound immediately.  Run at width 1 (one
-// part, no batch columns) and at width 4 (four parts with bucketed batch
-// columns and per-part scratch).
+// part, no batch columns) and at width 4 (sixteen parts with bucketed
+// batch columns and per-part scratch).
 void CheckSteadyStateStepsAllocationFree(size_t threads) {
   SetThreadCount(threads);
   Rng rng(77);
