@@ -172,7 +172,6 @@ Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
       seed_(config.seed()),
       accountant_(config.accountant()),
       faults_(config.faults()),
-      metrics_(config.metrics()),
       allow_non_ergodic_(config.allow_non_ergodic()),
       require_mixed_rounds_(config.require_mixed_rounds()),
       backend_(std::move(backend)),
@@ -201,8 +200,8 @@ Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
   rounds_fixed_ = config.rounds() > 0;
   target_rounds_ = rounds_fixed_ ? config.rounds() : mixing_rounds_;
   state_ = config.has_payloads()
-               ? StartExchange(graph_, config.ReleasePayloads(), metrics_)
-               : StartExchange(graph_, metrics_);
+               ? StartExchange(graph_, config.ReleasePayloads())
+               : StartExchange(graph_);
   pending_ = MakePendingArena();
 }
 
@@ -243,7 +242,6 @@ Status Session::Step(size_t k) {
   opts.first_round = state_.rounds;
   opts.seed = epoch_seed_;
   opts.faults = faults_;
-  opts.metrics = metrics_;
   state_ = ResumeExchange(graph_, std::move(state_), opts, &exchange_ws_);
   // Publish AFTER the exchange lands: a reader that observes the new round
   // count may immediately certify a guarantee at it.
@@ -333,7 +331,7 @@ Status Session::BeginEpoch() {
   // Fresh engine/finalize streams per epoch; epoch 0 keeps seed_ itself so
   // the one-shot path is bit-identical to the pre-epoch engine.
   epoch_seed_ = HashCombine(seed_, static_cast<uint64_t>(epoch_));
-  state_ = StartExchange(graph_, std::move(pending_), metrics_);
+  state_ = StartExchange(graph_, std::move(pending_));
   pending_ = std::move(next_pending);
   sync_->progress.store(PackProgress(epoch_, 0), std::memory_order_release);
   return Status::Ok();

@@ -164,13 +164,6 @@ class SessionConfig {
     return *this;
   }
 
-  /// Optional complexity counters, filled during Step; must outlive the
-  /// session.
-  SessionConfig& SetMetrics(ShuffleMetrics* metrics) {
-    metrics_ = metrics;
-    return *this;
-  }
-
   /// Escape hatch: accept disconnected / bipartite graphs (the walk theory
   /// does not apply; accountants will certify little or nothing).
   SessionConfig& AllowNonErgodic(bool allow = true) {
@@ -201,7 +194,6 @@ class SessionConfig {
   uint64_t seed() const { return seed_; }
   const std::shared_ptr<Accountant>& accountant() const { return accountant_; }
   const FaultModel* faults() const { return faults_; }
-  ShuffleMetrics* metrics() const { return metrics_; }
   bool allow_non_ergodic() const { return allow_non_ergodic_; }
   bool require_mixed_rounds() const { return require_mixed_rounds_; }
   const StorageBackendConfig& storage() const { return storage_; }
@@ -221,7 +213,6 @@ class SessionConfig {
   uint64_t seed_ = 2022;
   std::shared_ptr<Accountant> accountant_;
   const FaultModel* faults_ = nullptr;
-  ShuffleMetrics* metrics_ = nullptr;
   bool allow_non_ergodic_ = false;
   bool require_mixed_rounds_ = false;
 };
@@ -341,6 +332,15 @@ class Session {
   const PayloadArena& payloads() const {
     sync_->AssertQuiescent("Session::payloads");
     return *state_.payloads;
+  }
+  /// The current epoch's exchange state: holdings, payloads and rounds
+  /// (round 0 right after Create or BeginEpoch).  Mutator-thread only, like
+  /// payloads(): Step and BeginEpoch replace it.  Stepping one round at a
+  /// time and handing this to the traffic observer after each step
+  /// (shuffle/engine.h) measures what each user sent and held.
+  const ExchangeResult& exchange() const {
+    sync_->AssertQuiescent("Session::exchange");
+    return state_;
   }
   /// The session's storage backend, or nullptr for the in-RAM default.
   /// Benches read its StorageIoStats for bytes-moved/user and read-
@@ -555,7 +555,6 @@ class Session {
   uint64_t seed_ = 2022;
   std::shared_ptr<Accountant> accountant_;
   const FaultModel* faults_ = nullptr;
-  ShuffleMetrics* metrics_ = nullptr;
   bool allow_non_ergodic_ = false;
   bool require_mixed_rounds_ = false;
 

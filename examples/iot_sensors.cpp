@@ -4,8 +4,12 @@
 // each round (lazy random walk), which slows mixing but loses nothing — the
 // Session runs lazy-adjusted rounds with the fault model plugged in.
 //
+// Exits non-zero unless every report is delivered and the mean per-device
+// traffic is finite and positive.
+//
 //   ./examples/iot_sensors [grid_side] [laziness]
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -48,18 +52,16 @@ int main(int argc, char** argv) {
   }
   true_mean /= static_cast<double>(n);
 
-  // One session owns the whole pipeline: graph, mechanism, payloads, fault
-  // model, and metrics.  Rounds are set after probing the mixing time below.
+  // One session owns the whole pipeline: graph, mechanism, payloads and
+  // fault model.  Rounds are set after probing the mixing time below.
   LazyFaultModel faults(laziness);
-  ShuffleMetrics metrics(n);
   SessionConfig config;
   config.SetGraph(std::move(graph))
       .SetMechanism(lap)
       .SetPayloads(std::move(payloads))
       .SetProtocol(ReportingProtocol::kAll)
       .SetSeed(77)
-      .SetFaults(&faults)
-      .SetMetrics(&metrics);
+      .SetFaults(&faults);
   Expected<Session> created = Session::Create(std::move(config));
   if (!created.ok()) {
     std::fprintf(stderr, "session rejected: %s\n",
@@ -73,10 +75,17 @@ int main(int argc, char** argv) {
   const size_t t_mix = session.mixing_rounds();
   const size_t rounds = static_cast<size_t>(
       static_cast<double>(t_mix) / (1.0 - laziness)) + 1;
-  const Status stepped = session.Step(rounds);
-  if (!stepped.ok()) {
-    std::fprintf(stderr, "exchange failed: %s\n", stepped.ToString().c_str());
-    return 1;
+  // One round per Step, so the traffic observer sees every hop.
+  ShuffleMetrics metrics(n);
+  metrics.Observe(session.exchange());
+  for (size_t r = 0; r < rounds; ++r) {
+    const Status stepped = session.Step(1);
+    if (!stepped.ok()) {
+      std::fprintf(stderr, "exchange failed: %s\n",
+                   stepped.ToString().c_str());
+      return 1;
+    }
+    metrics.Observe(session.exchange());
   }
   const auto delivered = session.Finalize();
 
@@ -100,5 +109,12 @@ int main(int argc, char** argv) {
               central.delta);
   std::printf("true mean %.3f  |  estimate %.3f  |  error %.3f\n", true_mean,
               est, est - true_mean);
+  const double traffic = metrics.mean_user_traffic();
+  if (delivered.server_inbox.size() != n || !std::isfinite(traffic) ||
+      traffic <= 0.0) {
+    std::fprintf(stderr, "iot_sensors: %zu of %zu reports delivered, mean "
+                 "traffic %.3f\n", delivered.server_inbox.size(), n, traffic);
+    return 1;
+  }
   return 0;
 }

@@ -35,6 +35,53 @@ size_t ShuffleMetrics::max_user_memory() const {
   return best;
 }
 
+size_t ShuffleMetrics::BoundsCheck(NodeId u, const char* op) const {
+  if (static_cast<size_t>(u) >= traffic_.size()) {
+    NETSHUFFLE_FATAL(std::string("ShuffleMetrics::") + op + "(" +
+                     std::to_string(u) + "): metrics cover " +
+                     std::to_string(traffic_.size()) + " users");
+  }
+  return u;
+}
+
+void ShuffleMetrics::Observe(const ExchangeResult& state) {
+  const ReportStore& store = state.holdings;
+  const size_t n = store.num_users();
+  if (n != traffic_.size()) {
+    NETSHUFFLE_FATAL("ShuffleMetrics::Observe: exchange has " +
+                     std::to_string(n) + " users, metrics cover " +
+                     std::to_string(traffic_.size()));
+  }
+  const bool fresh = state.rounds == 0;
+  if (fresh) {
+    holder_.resize(store.num_reports());
+  } else if (state.rounds != next_round_) {
+    NETSHUFFLE_FATAL("ShuffleMetrics::Observe: saw round " +
+                     std::to_string(state.rounds) + ", expected " +
+                     (next_round_ == 0
+                          ? std::string("round 0 first")
+                          : "round 0 or " + std::to_string(next_round_)) +
+                     " (observe every round)");
+  } else if (store.num_reports() != holder_.size()) {
+    NETSHUFFLE_FATAL("ShuffleMetrics::Observe: exchange has " +
+                     std::to_string(store.num_reports()) +
+                     " reports, its round 0 had " +
+                     std::to_string(holder_.size()));
+  }
+  const uint32_t* offsets = store.offsets_data();
+  const ReportId* arena = store.arena_data();
+  for (NodeId u = 0; u < n; ++u) {
+    for (uint32_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+      NodeId& holder = holder_[arena[i]];
+      if (!fresh && holder != u) ++traffic_[holder];
+      holder = u;
+    }
+    const size_t held = offsets[u + 1] - offsets[u];
+    if (held > peak_holdings_[u]) peak_holdings_[u] = held;
+  }
+  next_round_ = state.rounds + 1;
+}
+
 namespace {
 
 // Holders per hop tile (DESIGN.md §4e): each shard processes this many
@@ -102,8 +149,7 @@ void Deref(const NodeId* const* addrs, uint32_t base, uint32_t end_off,
 // than fast.
 void FaultHopShard(const Graph& g, const ExchangeOptions& options,
                    size_t round, const uint32_t* holder_v,
-                   const uint32_t* holder_b, size_t holders, uint32_t* dests,
-                   std::vector<std::pair<NodeId, uint64_t>>* traffic) {
+                   const uint32_t* holder_b, size_t holders, uint32_t* dests) {
   for (size_t h = 0; h < holders; ++h) {
     const NodeId v = holder_v[h];
     const uint32_t b = holder_b[h], e = holder_b[h + 1];
@@ -117,9 +163,6 @@ void FaultHopShard(const Graph& g, const ExchangeOptions& options,
     }
     const NodeId* nbr = g.neighbors_begin(v);
     for (uint32_t i = b; i < e; ++i) dests[i] = nbr[rng.UniformInt(deg)];
-    if (options.metrics != nullptr) {
-      traffic->emplace_back(v, static_cast<uint64_t>(e - b));
-    }
   }
 }
 
@@ -201,7 +244,6 @@ size_t PartScratch::MemoryBytes() const {
              sizeof(uint64_t) +
          multi.capacity() * sizeof(uint32_t) +
          addrs.capacity() * sizeof(const NodeId*) +
-         traffic.capacity() * sizeof(std::pair<NodeId, uint64_t>) +
          (out.capacity() + in.capacity()) * sizeof(Batch);
 }
 
@@ -226,11 +268,8 @@ size_t PartScratch::MemoryBytes() const {
 void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
               const uint32_t* holder_v, const uint32_t* holder_b,
               size_t holders, uint32_t* dests, PartScratch* scratch) {
-  scratch->traffic.clear();
-
   if (options.faults != nullptr) {
-    FaultHopShard(g, options, round, holder_v, holder_b, holders, dests,
-                  &scratch->traffic);
+    FaultHopShard(g, options, round, holder_v, holder_b, holders, dests);
     return;
   }
 
@@ -318,9 +357,6 @@ void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
           addrs[i - base] = a;
           __builtin_prefetch(a, 0, 1);
         }
-      }
-      if (options.metrics != nullptr) {
-        scratch->traffic.emplace_back(v, static_cast<uint64_t>(e - b));
       }
     }
 
@@ -427,20 +463,11 @@ Status ValidateExchangeOptions(const ExchangeOptions& options) {
   return Status::Ok();
 }
 
-ExchangeResult StartExchange(const Graph& g, ShuffleMetrics* metrics) {
-  const size_t n = g.num_nodes();
-  ExchangeResult result;
-  result.holdings.InitOnePerUser(n);
-  result.payloads =
-      std::make_shared<const PayloadArena>(PayloadArena::Identity(n));
-  if (metrics != nullptr) {
-    for (NodeId u = 0; u < n; ++u) metrics->ObserveUserHoldings(u, 1);
-  }
-  return result;
+ExchangeResult StartExchange(const Graph& g) {
+  return StartExchange(g, PayloadArena::Identity(g.num_nodes()));
 }
 
-ExchangeResult StartExchange(const Graph& g, PayloadArena payloads,
-                             ShuffleMetrics* metrics) {
+ExchangeResult StartExchange(const Graph& g, PayloadArena payloads) {
   const size_t n = g.num_nodes();
   if (payloads.num_reports() != n) {
     NETSHUFFLE_FATAL("StartExchange: arena holds " +
@@ -459,43 +486,39 @@ ExchangeResult StartExchange(const Graph& g, PayloadArena payloads,
     store.Host(backend, "route");
   }
   store.AllocateFor(n, n);
-  // Counting-sort injection: holdings[u] = ids with origin u, ascending.
+  // One report per user makes injection a permutation: user u's slice is
+  // slot u, and report r lands in slot origin(r).  Every slot starts at a
+  // sentinel, so a report finding its origin's slot taken has a repeated
+  // origin; n reports in range with none repeated claim every slot once.
+  constexpr ReportId kUnclaimed = ~ReportId{0};
   uint32_t* offsets = store.mutable_offsets();
-  std::fill(offsets, offsets + n + 1, 0u);
+  ReportId* arena = store.mutable_arena();
+  std::fill(arena, arena + n, kUnclaimed);
   for (ReportId r = 0; r < static_cast<ReportId>(n); ++r) {
+    offsets[r] = r;
     const NodeId o = payloads.origin(r);
     if (static_cast<size_t>(o) >= n) {
       NETSHUFFLE_FATAL("StartExchange: report " + std::to_string(r) +
                        " has origin " + std::to_string(o) + " outside the " +
                        std::to_string(n) + "-user population");
     }
-    ++offsets[o + 1];
-  }
-  for (size_t u = 0; u < n; ++u) {
-    if (offsets[u + 1] != 1) {
-      // With exactly n reports, any user injecting more than one implies
-      // another injects none — a double eps0 spend the accountants cannot
-      // see (Session::Validate reports the same condition as a typed
+    if (arena[o] != kUnclaimed) {
+      // With exactly n reports, a user injecting twice implies another
+      // injects none — a double eps0 spend the accountants cannot see
+      // (Session::Validate reports the same condition as a typed
       // kPayloadMismatch first).
-      NETSHUFFLE_FATAL("StartExchange: origin " + std::to_string(u) +
-                       " injects " + std::to_string(offsets[u + 1]) +
-                       " reports; the protocol is one report per user");
+      NETSHUFFLE_FATAL("StartExchange: origin " + std::to_string(o) +
+                       " injects reports " + std::to_string(arena[o]) +
+                       " and " + std::to_string(r) +
+                       "; the protocol is one report per user");
     }
-    offsets[u + 1] += offsets[u];
+    arena[o] = r;
   }
-  std::vector<uint32_t> cursor(offsets, offsets + n);
-  ReportId* arena = store.mutable_arena();
-  for (ReportId r = 0; r < static_cast<ReportId>(n); ++r) {
-    arena[cursor[payloads.origin(r)]++] = r;
-  }
+  // ns-lint: allow(narrow32): n is checked by AllocateFor above.
+  offsets[n] = static_cast<uint32_t>(n);
 
   result.payloads =
       std::make_shared<const PayloadArena>(std::move(payloads));
-  if (metrics != nullptr) {
-    for (NodeId u = 0; u < n; ++u) {
-      metrics->ObserveUserHoldings(u, store.count(u));
-    }
-  }
   return result;
 }
 
@@ -625,24 +648,12 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     // drop its resident pages entirely (MAP_SHARED: the kernel keeps the
     // data, only this process's RSS falls).
     if (ws.next_.hosted()) ws.next_.AdviseDontNeedAll();
-
-    // Metrics merge, on the coordinating thread, in part order.
-    if (options.metrics != nullptr) {
-      for (size_t c = 0; c < parts; ++c) {
-        for (const auto& t : ws.parts_[c].traffic) {
-          options.metrics->AddUserTraffic(t.first, t.second);
-        }
-      }
-      for (NodeId u = 0; u < n; ++u) {
-        options.metrics->ObserveUserHoldings(u, store.count(u));
-      }
-    }
   }
   return result;
 }
 
 ExchangeResult RunExchange(const Graph& g, const ExchangeOptions& options) {
-  return ResumeExchange(g, StartExchange(g, options.metrics), options);
+  return ResumeExchange(g, StartExchange(g), options);
 }
 
 ProtocolResult FinalizeProtocol(const ExchangeResult& exchange,

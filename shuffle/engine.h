@@ -19,41 +19,6 @@
 
 namespace netshuffle {
 
-/// Complexity counters shared by the network engine and the Table-3
-/// baselines (baselines/prochlo.h, baselines/mixnet.h).
-///
-/// Not internally synchronized: the parallel exchange engine accumulates
-/// per-shard counters on its workers and merges them into this object from
-/// the coordinating thread at the end of every round (in shard order, so the
-/// totals are thread-count invariant).  The serial baselines call the
-/// mutators directly.
-class ShuffleMetrics {
- public:
-  explicit ShuffleMetrics(size_t num_users)
-      : traffic_(num_users, 0), peak_holdings_(num_users, 0) {}
-
-  void AddUserTraffic(NodeId u, uint64_t sends) { traffic_[u] += sends; }
-  void ObserveUserHoldings(NodeId u, size_t held) {
-    if (held > peak_holdings_[u]) peak_holdings_[u] = held;
-  }
-  void ObserveEntityBuffer(size_t buffered) {
-    if (buffered > peak_entity_memory_) peak_entity_memory_ = buffered;
-  }
-
-  /// Peak reports buffered at any dedicated shuffling entity (0 for the
-  /// entity-free network protocol).
-  size_t peak_entity_memory() const { return peak_entity_memory_; }
-  uint64_t max_user_traffic() const;
-  double mean_user_traffic() const;
-  /// Peak reports simultaneously held by any single user.
-  size_t max_user_memory() const;
-
- private:
-  std::vector<uint64_t> traffic_;
-  std::vector<size_t> peak_holdings_;
-  size_t peak_entity_memory_ = 0;
-};
-
 struct ExchangeOptions {
   /// Number of exchange rounds executed by this call.  Must be positive:
   /// the engine has no mixing-time default and rejects 0 with a fatal error
@@ -69,8 +34,6 @@ struct ExchangeOptions {
   size_t first_round = 0;
   /// Optional availability model; nullptr = everyone always awake.
   const FaultModel* faults = nullptr;
-  /// Optional complexity counters, filled during the run.
-  ShuffleMetrics* metrics = nullptr;
 };
 
 struct ExchangeResult {
@@ -87,6 +50,66 @@ struct ExchangeResult {
   size_t rounds = 0;
 };
 
+/// Complexity counters (the paper's Table 3): reports each user sent and
+/// the most it held at once.  They measure a run from outside; the engine
+/// never writes them.
+///
+/// The network exchange is measured by Observe-ing its state at round 0
+/// and after every later round, one round at a time.  The Table-3
+/// baselines (baselines/prochlo.h, baselines/mixnet.h) call the mutators
+/// directly.  Not synchronized: one thread observes.
+class ShuffleMetrics {
+ public:
+  explicit ShuffleMetrics(size_t num_users)
+      : traffic_(num_users, 0), peak_holdings_(num_users, 0) {}
+
+  /// At state.rounds == 0 (a fresh StartExchange, or the one a new epoch
+  /// injects) records every report's holder; the accumulated totals are
+  /// kept.  At each later round adds one send to the previous holder of
+  /// every report whose holder changed.  Graphs have no self-loops, so a
+  /// sent report always changes holder, and an asleep or isolated holder's
+  /// reports stay put: the counts are exactly the reports sent.  Either
+  /// way the holdings peaks are updated.  Fatal unless state.rounds is 0 or
+  /// the last observed round + 1, and on a user or report count other
+  /// than the observed exchange's.
+  void Observe(const ExchangeResult& state);
+
+  void AddUserTraffic(NodeId u, uint64_t sends) {
+    traffic_[BoundsCheck(u, "AddUserTraffic")] += sends;
+  }
+  void ObserveUserHoldings(NodeId u, size_t held) {
+    size_t& peak = peak_holdings_[BoundsCheck(u, "ObserveUserHoldings")];
+    if (held > peak) peak = held;
+  }
+  void ObserveEntityBuffer(size_t buffered) {
+    if (buffered > peak_entity_memory_) peak_entity_memory_ = buffered;
+  }
+
+  /// Peak reports buffered at any dedicated shuffling entity (0 for the
+  /// entity-free network protocol).
+  size_t peak_entity_memory() const { return peak_entity_memory_; }
+  uint64_t max_user_traffic() const;
+  double mean_user_traffic() const;
+  /// Peak reports simultaneously held by any single user.
+  size_t max_user_memory() const;
+  /// Per-user columns: reports sent, and the most held at once.
+  const std::vector<uint64_t>& user_traffic() const { return traffic_; }
+  const std::vector<size_t>& user_peak_holdings() const {
+    return peak_holdings_;
+  }
+
+ private:
+  size_t BoundsCheck(NodeId u, const char* op) const;
+
+  std::vector<uint64_t> traffic_;
+  std::vector<size_t> peak_holdings_;
+  size_t peak_entity_memory_ = 0;
+  // holder_[r]: report r's holder at the last observation.
+  std::vector<NodeId> holder_;
+  // The round the next Observe may see besides 0 (0 = none observed yet).
+  size_t next_round_ = 0;
+};
+
 class ExchangeWorkspace;
 namespace engine_internal {
 struct PartScratch;  // shuffle/engine_internal.h
@@ -100,7 +123,7 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
 /// partner store plus the per-round routing tables — destination column,
 /// bucketed batch columns, one counting row sliced by part, the holder
 /// lists the batched hop kernels iterate, and one part scratch (coin/address
-/// tiles, traffic, batch views) per part.  Hoisted out of the engine so a
+/// tiles, batch views) per part.  Hoisted out of the engine so a
 /// serving loop stepping one round at a time (Session::Step(1)) pays the
 /// O(n) allocation once per session instead of once per call; buffer
 /// sizing is idempotent, so the steady state allocates nothing (pinned by
@@ -151,19 +174,17 @@ class ExchangeWorkspace {
 Status ValidateExchangeOptions(const ExchangeOptions& options);
 
 /// Injects one report per user (holdings[u] = {u's report id}) over an
-/// identity PayloadArena (origin(r) == r, zero payload bytes) and records
-/// the initial metrics observation — round 0 of an exchange.  Advance the
-/// returned state with ResumeExchange.
-ExchangeResult StartExchange(const Graph& g, ShuffleMetrics* metrics = nullptr);
+/// identity PayloadArena (origin(r) == r, zero payload bytes) — round 0 of
+/// an exchange.  Advance the returned state with ResumeExchange.
+ExchangeResult StartExchange(const Graph& g);
 
 /// Injection over an explicit payload arena: freezes it, then hands each
-/// report id to its origin (holdings[u] = ids with origin(id) == u, in
-/// ascending id order).  The protocol injects exactly one report per user,
-/// so the arena must hold g.num_nodes() reports with every origin in range
-/// — fatal otherwise (Session::Validate surfaces the same condition as a
-/// typed kPayloadMismatch first).
-ExchangeResult StartExchange(const Graph& g, PayloadArena payloads,
-                             ShuffleMetrics* metrics = nullptr);
+/// report id to its origin (holdings[u] = {the id with origin(id) == u}).
+/// The protocol injects exactly one report per user, so the arena must hold
+/// g.num_nodes() reports whose origins are the users, each once — fatal
+/// otherwise (Session::Validate surfaces the same condition as a typed
+/// kPayloadMismatch first).
+ExchangeResult StartExchange(const Graph& g, PayloadArena payloads);
 
 /// Advances `prior` (from StartExchange or a previous call) by
 /// options.rounds further rounds.  options.first_round must equal

@@ -4,7 +4,9 @@
 // that own contiguous user ranges.  The engines differ only in the move:
 // the serial engine's parts are thread-pool chunks that hand their batches
 // over in place at a barrier, and every sharded worker is one part that
-// ships its batches over a transport (DESIGN.md §11).
+// ships its batches over a transport (DESIGN.md §11).  The round only
+// routes: per-user traffic and holdings counts are taken from outside, by
+// the observer in shuffle/engine.h that reads the states it produces.
 //
 // Not part of the public API: the contracts here (sentinel-terminated holder
 // lists, batches whose destination column the arrive phase overwrites) are
@@ -16,7 +18,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -56,10 +57,9 @@ struct Batch {
   uint32_t size = 0;
 };
 
-/// One part's round scratch: the hop-tile columns, the part's (holder,
-/// sends) traffic counters, and its outgoing batches by destination part.
-/// Buffers never shrink, so a reused PartScratch settles after the first
-/// rounds.
+/// One part's round scratch: the hop-tile columns and its outgoing batches
+/// by destination part.  Buffers never shrink, so a reused PartScratch
+/// settles after the first rounds.
 struct PartScratch {
   size_t holders = 0;               // holder count of the part's list
   std::vector<uint64_t> streams;    // per-holder stream seeds, one tile
@@ -67,7 +67,6 @@ struct PartScratch {
   std::vector<uint32_t> multi;      // tile-local multi-holder list
   std::vector<uint64_t> coins;      // per-report coin column (grows)
   std::vector<const NodeId*> addrs; // per-report neighbor addresses (grows)
-  std::vector<std::pair<NodeId, uint64_t>> traffic;
   std::vector<Batch> out;           // out[p]: the batch for part p
   std::vector<Batch> in;            // arriving batches, by source part
 
@@ -79,8 +78,7 @@ struct PartScratch {
 /// its per-(options.seed, round, user) stream — batched, branch-free,
 /// AVX-512 when available; scalar fault path when options.faults !=
 /// nullptr — and writes them into dests[] (indexed by the holder runs'
-/// arena offsets).  scratch->traffic is cleared and filled with per-holder
-/// send counts when options.metrics is set.
+/// arena offsets).
 void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
               const uint32_t* holder_v, const uint32_t* holder_b,
               size_t holders, uint32_t* dests, PartScratch* scratch);

@@ -46,7 +46,6 @@ Status ShardWorkerBody(const ShardedRun& run, size_t s, Endpoint& ep) {
   const size_t shards = run.shards;
   const uint32_t lo = run.bounds[s], hi = run.bounds[s + 1];
   const size_t ln = hi - lo;
-  const bool want_metrics = options.metrics != nullptr;
 
   // Local state: this shard's contiguous slice of the global CSR + arena,
   // rebased so offsets start at 0.
@@ -74,17 +73,6 @@ Status ShardWorkerBody(const ShardedRun& run, size_t s, Endpoint& ep) {
   // sent) batch, so the arrive phase walks source shards 0..S-1 uniformly.
   std::vector<std::vector<uint32_t>> in_ids(shards), in_dests(shards);
   part.in.resize(shards);
-
-  std::vector<uint64_t> user_traffic;
-  std::vector<uint32_t> user_peak;
-  if (want_metrics) {
-    // Peaks start at zero, not the prior holdings: like the serial engine,
-    // a resume call observes holdings only AFTER each of its rounds (the
-    // prior state was observed by whoever produced it), so the merged
-    // ShuffleMetrics match the serial run observation-for-observation.
-    user_traffic.assign(ln, 0);
-    user_peak.assign(ln, 0);
-  }
 
   WorkerStats stats;
   wire::Writer writer;
@@ -160,36 +148,21 @@ Status ShardWorkerBody(const ShardedRun& run, size_t s, Endpoint& ep) {
     next_offsets[ln] = arriving;
     arena.swap(next_arena);
     offsets.swap(next_offsets);
-
-    if (want_metrics) {
-      for (const std::pair<NodeId, uint64_t>& t : part.traffic) {
-        user_traffic[t.first - lo] += t.second;
-      }
-      for (size_t u = 0; u < ln; ++u) {
-        const uint32_t now = offsets[u + 1] - offsets[u];
-        if (now > user_peak[u]) user_peak[u] = now;
-      }
-    }
   }
 
-  // Result frame: the shard's final local CSR + arena, its communication
-  // counters, and (when requested) its per-user metrics columns.
+  // Result frame: the shard's final local CSR + arena and its
+  // communication counters.
   writer.Clear();
   // ns-lint: allow(narrow32): s < kMaxTransportShards = 64
   writer.U32(static_cast<uint32_t>(s));
   writer.U32(lo);
   writer.U32(hi);
-  writer.U8(want_metrics ? 1 : 0);
   writer.U64(stats.messages);
   writer.U64(stats.cross_reports);
   writer.U64(stats.cross_bytes);
   writer.U32(offsets[ln]);
   writer.U32Array(offsets.data(), ln + 1);
   writer.U32Array(arena.data(), offsets[ln]);
-  if (want_metrics) {
-    writer.U64Array(user_traffic.data(), ln);
-    writer.U32Array(user_peak.data(), ln);
-  }
   // ns-lint: allow(narrow32): u32 wire round field, same bound as the hops
   return ep.Send(wire::kCoordinator, wire::FrameKind::kResult,
                  static_cast<uint32_t>(options.rounds), writer.data(),
@@ -252,7 +225,7 @@ Status ShardedResumeExchange(const Graph& g, ExchangeResult* state,
   if (!worker_results.ok()) return worker_results.status();
 
   // Gather: decode every shard's result, splice its local CSR + arena into
-  // the global store (rebasing offsets), and merge metrics in shard order.
+  // the global store (rebasing offsets), in shard order.
   // Decode errors are transport errors: the frames were checksummed, so a
   // malformed result means a worker broke protocol, not memory.
   ReportStore next;
@@ -261,19 +234,15 @@ Status ShardedResumeExchange(const Graph& g, ExchangeResult* state,
   ReportId* arena = next.mutable_arena();
   uint64_t messages = 0, cross_reports = 0, cross_bytes = 0;
   std::vector<uint32_t> local_offsets;
-  std::vector<uint64_t> local_traffic;
-  std::vector<uint32_t> local_peak;
   uint32_t spliced = 0;
   for (size_t s = 0; s < shards; ++s) {
     const Bytes& payload = worker_results.value()[s];
     wire::Reader r(payload.data(), payload.size());
     uint32_t shard_id = 0, lo = 0, hi = 0, local_reports = 0;
-    uint8_t has_metrics = 0;
     uint64_t w_messages = 0, w_cross_reports = 0, w_cross_bytes = 0;
     Status st = r.U32(&shard_id);
     if (st.ok()) st = r.U32(&lo);
     if (st.ok()) st = r.U32(&hi);
-    if (st.ok()) st = r.U8(&has_metrics);
     if (st.ok()) st = r.U64(&w_messages);
     if (st.ok()) st = r.U64(&w_cross_reports);
     if (st.ok()) st = r.U64(&w_cross_bytes);
@@ -303,24 +272,6 @@ Status ShardedResumeExchange(const Graph& g, ExchangeResult* state,
     st = r.U32Array(arena + spliced, local_reports);
     if (!st.ok()) return st;
     spliced += local_reports;
-
-    if ((options.metrics != nullptr) != (has_metrics != 0)) {
-      return wire::TransportError("shard " + std::to_string(s) +
-                                  " metrics flag mismatch");
-    }
-    if (has_metrics != 0) {
-      local_traffic.resize(ln);
-      local_peak.resize(ln);
-      st = r.U64Array(local_traffic.data(), ln);
-      if (st.ok()) st = r.U32Array(local_peak.data(), ln);
-      if (!st.ok()) return st;
-      for (size_t u = 0; u < ln; ++u) {
-        options.metrics->AddUserTraffic(lo + static_cast<NodeId>(u),
-                                        local_traffic[u]);
-        options.metrics->ObserveUserHoldings(lo + static_cast<NodeId>(u),
-                                             local_peak[u]);
-      }
-    }
     if (!r.AtEnd()) {
       return wire::TransportError("shard " + std::to_string(s) +
                                   " result has trailing bytes");

@@ -59,25 +59,6 @@ class ReportStore {
  public:
   ReportStore() = default;
 
-  /// Identity injection state: user u holds exactly {report id u} (round 0
-  /// of an exchange over an identity PayloadArena).  Offsets are the
-  /// identity CSR.
-  void InitOnePerUser(size_t n) {
-    CheckedNarrow32(n, "ReportStore user count");
-    arena_.resize(n);
-    offsets_.resize(n + 1);
-    ReportId* arena = arena_.data();
-    uint32_t* offsets = offsets_.data();
-    for (size_t u = 0; u < n; ++u) {
-      arena[u] = static_cast<ReportId>(u);
-      // ns-lint: allow(narrow32): u < n, checked by the CheckedNarrow32
-      // at the top of this function.
-      offsets[u] = static_cast<uint32_t>(u);
-    }
-    // ns-lint: allow(narrow32): n checked at the top of this function.
-    offsets[n] = static_cast<uint32_t>(n);
-  }
-
   /// Sizes the buffers without initializing contents — the double-buffer
   /// partner the engine scatters into before swapping.
   void AllocateFor(size_t users, size_t reports) {

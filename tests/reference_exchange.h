@@ -1,8 +1,9 @@
 // The one reference oracle every differential test pins the exchange
 // engines against (tests/test_kernel_differential.cc, test_flat_store.cc,
-// test_sharded_differential.cc): a naive scalar implementation of the
-// protocol's round schedule, plus the patterned payloads and the
-// element-by-element comparisons the tests share.
+// test_sharded_differential.cc, and test_engine.cc for the traffic
+// observer): a naive scalar implementation of the protocol's round
+// schedule, plus the patterned payloads, the round-by-round observed run
+// and the element-by-element comparisons the tests share.
 //
 // The schedule, kept deliberately naive: users in ascending order, one fresh
 // Rng per (seed, round, user), the Awake coin before any destination draw,
@@ -75,10 +76,13 @@ inline std::vector<std::vector<ReportId>> ReferenceInit(size_t n) {
   return holdings;
 }
 
-/// One round of the scalar schedule (see the file comment).
+/// One round of the scalar schedule (see the file comment).  `sends`, when
+/// non-null, counts each user's sent reports: all it holds when it is awake
+/// and has a neighbor.
 inline void ReferenceRound(const Graph& g, size_t round, uint64_t seed,
                            const FaultModel* faults,
-                           std::vector<std::vector<ReportId>>* holdings) {
+                           std::vector<std::vector<ReportId>>* holdings,
+                           std::vector<uint64_t>* sends = nullptr) {
   const size_t n = g.num_nodes();
   std::vector<std::vector<ReportId>> next(n);
   for (NodeId u = 0; u < n; ++u) {
@@ -91,10 +95,32 @@ inline void ReferenceRound(const Graph& g, size_t round, uint64_t seed,
       for (ReportId id : held) next[u].push_back(id);
       continue;
     }
+    if (sends != nullptr) (*sends)[u] += held.size();
     const NodeId* nbr = g.neighbors_begin(u);
     for (ReportId id : held) next[nbr[rng.UniformInt(deg)]].push_back(id);
   }
   holdings->swap(next);
+}
+
+/// A fresh exchange of options.rounds rounds (options.first_round is
+/// ignored), stepped one round at a time on one workspace with `metrics`
+/// observing round 0 and every round after it — how a caller measures
+/// Table 3's traffic.  Holdings equal RunExchange(g, options)'s.
+inline ExchangeResult ObservedExchange(const Graph& g,
+                                       netshuffle::ExchangeOptions options,
+                                       netshuffle::ShuffleMetrics* metrics) {
+  const size_t rounds = options.rounds;
+  ExchangeResult state = netshuffle::StartExchange(g);
+  metrics->Observe(state);
+  netshuffle::ExchangeWorkspace workspace;
+  options.rounds = 1;
+  for (size_t r = 0; r < rounds; ++r) {
+    options.first_round = r;
+    state = netshuffle::ResumeExchange(g, std::move(state), options,
+                                       &workspace);
+    metrics->Observe(state);
+  }
+  return state;
 }
 
 /// Element-identical: same id in every slot of every user's slice, and the

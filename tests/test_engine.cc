@@ -1,15 +1,64 @@
 #include "shuffle/engine.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.h"
 #include "shuffle/engine_internal.h"
 #include "shuffle/fault.h"
 #include "shuffle/server.h"
+#include "tests/reference_exchange.h"
 #include "tests/test_util.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 using namespace netshuffle;
+using netshuffle_test::ExpectDeath;
+using netshuffle_test::ObservedExchange;
+
+namespace {
+
+// The traffic observer against the scalar oracle: per-user sends and
+// holdings peaks over `rounds` observed rounds, with and without lazy
+// users, at 1 and 4 threads.
+void CheckObserverMatchesOracle(const char* name, const Graph& g) {
+  const size_t n = g.num_nodes(), rounds = 12;
+  const uint64_t seed = 31337;
+  LazyFaultModel lazy(0.3);
+  for (const FaultModel* faults : {static_cast<const FaultModel*>(nullptr),
+                                   static_cast<const FaultModel*>(&lazy)}) {
+    std::vector<std::vector<ReportId>> ref = netshuffle_test::ReferenceInit(n);
+    std::vector<uint64_t> sends(n, 0);
+    std::vector<size_t> peaks(n, 1);
+    for (size_t r = 0; r < rounds; ++r) {
+      netshuffle_test::ReferenceRound(g, r, seed, faults, &ref, &sends);
+      for (NodeId u = 0; u < n; ++u) {
+        peaks[u] = std::max(peaks[u], ref[u].size());
+      }
+    }
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SetThreadCount(threads);
+      ExchangeOptions opts;
+      opts.rounds = rounds;
+      opts.seed = seed;
+      opts.faults = faults;
+      ShuffleMetrics metrics(n);
+      const ExchangeResult ex = ObservedExchange(g, opts, &metrics);
+      for (NodeId u = 0; u < n; ++u) {
+        const ReportSpan held = ex.holdings.reports(u);
+        CHECK(std::vector<ReportId>(held.begin(), held.end()) == ref[u]);
+      }
+      CHECK(metrics.user_traffic() == sends);
+      CHECK(metrics.user_peak_holdings() == peaks);
+    }
+  }
+  SetThreadCount(0);
+  std::printf("ok: observer == oracle on %s (n=%zu)\n", name, n);
+}
+
+}  // namespace
 
 int main() {
   // The part-count rule: one part at width 1, four per pool slot above it,
@@ -35,8 +84,7 @@ int main() {
   opts.rounds = rounds;
   opts.seed = 99;
   ShuffleMetrics metrics(n);
-  opts.metrics = &metrics;
-  ExchangeResult ex = RunExchange(g, opts);
+  ExchangeResult ex = ObservedExchange(g, opts, &metrics);
   CHECK(ex.rounds == rounds);
   size_t total = 0;
   std::vector<bool> seen(n, false);
@@ -115,8 +163,7 @@ int main() {
   lazy_opts.rounds = rounds;
   lazy_opts.seed = 123;
   lazy_opts.faults = &lazy;
-  lazy_opts.metrics = &lazy_metrics;
-  ExchangeResult lex = RunExchange(g, lazy_opts);
+  ExchangeResult lex = ObservedExchange(g, lazy_opts, &lazy_metrics);
   size_t lazy_total = 0;
   for (NodeId u = 0; u < n; ++u) lazy_total += lex.holdings.count(u);
   CHECK(lazy_total == n);
@@ -127,6 +174,65 @@ int main() {
   ExchangeResult ex2 = RunExchange(g, opts);
   for (NodeId u = 0; u < n; ++u) {
     CHECK(ex2.holdings.count(u) == ex.holdings.count(u));
+  }
+
+  // The observer counts exactly the oracle's sends: a hub holding many
+  // reports, a heavy-tailed graph, and an isolated user that never sends.
+  CheckObserverMatchesOracle("star", netshuffle_test::MakeStar(64));
+  {
+    Rng ba_rng(17);
+    CheckObserverMatchesOracle("barabasi-albert",
+                               MakeBarabasiAlbert(2000, 3, &ba_rng));
+    Rng reg_rng(23);
+    const Graph reg = MakeRandomRegular(1000, 20, &reg_rng);
+    CheckObserverMatchesOracle("20-regular+isolated",
+                               Graph::FromEdges(1001, reg.EdgeList()));
+  }
+
+  // Observation is per round: skipping one, observing a different
+  // population, or starting mid-exchange is fatal.  The exchanges run here,
+  // so the forked children only observe.
+  const ExchangeResult round0 = StartExchange(g);
+  ExchangeOptions one;
+  const ExchangeResult round1 = RunExchange(g, one);
+  ExchangeOptions two;
+  two.rounds = 2;
+  const ExchangeResult round2 = RunExchange(g, two);
+  ExpectDeath([&] {
+    ShuffleMetrics m(n);
+    m.Observe(round0);
+    m.Observe(round2);
+  });
+  ExpectDeath([&] {
+    ShuffleMetrics m(n + 1);
+    m.Observe(round0);
+  });
+  ExpectDeath([&] {
+    ShuffleMetrics m(n);
+    m.Observe(round1);
+  });
+  {
+    ShuffleMetrics m(n);
+    m.Observe(round0);
+    m.Observe(round1);
+    m.Observe(round0);  // a new injection restarts the holders
+    m.Observe(round1);
+    CHECK(m.mean_user_traffic() == 2.0);
+  }
+  // The baselines' mutators are bounds-checked.
+  ExpectDeath([] {
+    ShuffleMetrics m(4);
+    m.AddUserTraffic(4, 1);
+  });
+  ExpectDeath([] {
+    ShuffleMetrics m(4);
+    m.ObserveUserHoldings(7, 1);
+  });
+  {
+    ShuffleMetrics m(4);
+    m.AddUserTraffic(3, 5);
+    m.ObserveUserHoldings(3, 2);
+    CHECK(m.max_user_traffic() == 5 && m.max_user_memory() == 2);
   }
   return 0;
 }

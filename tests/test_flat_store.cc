@@ -77,10 +77,10 @@ void CheckEquivalence(const Graph& g, size_t rounds, uint64_t seed,
 int main() {
   // ---- ReportStore unit checks --------------------------------------------
   {
-    ReportStore store;
-    CHECK(store.num_users() == 0);
-    CHECK(store.num_reports() == 0);
-    store.InitOnePerUser(5);
+    const ReportStore empty;
+    CHECK(empty.num_users() == 0);
+    CHECK(empty.num_reports() == 0);
+    ReportStore store = StartExchange(MakeCirculant(5, 2)).holdings;
     CHECK(store.num_users() == 5);
     CHECK(store.num_reports() == 5);
     for (NodeId u = 0; u < 5; ++u) {

@@ -52,8 +52,9 @@ Snapshot RunAll(const Graph& g, size_t threads) {
   opts.rounds = 12;
   opts.seed = 2022;
   ShuffleMetrics metrics(g.num_nodes());
-  opts.metrics = &metrics;
-  s.holdings = Flatten(RunExchange(g, opts).holdings);
+  s.holdings =
+      Flatten(netshuffle_test::ObservedExchange(g, opts, &metrics).holdings);
+  CHECK(s.holdings == Flatten(RunExchange(g, opts).holdings));
   s.max_traffic = metrics.max_user_traffic();
   s.mean_traffic = metrics.mean_user_traffic();
   s.max_memory = metrics.max_user_memory();
@@ -61,7 +62,6 @@ Snapshot RunAll(const Graph& g, size_t threads) {
   // Fault models draw from the same per-(round, user) streams.
   LazyFaultModel lazy(0.3);
   ExchangeOptions faulty = opts;
-  faulty.metrics = nullptr;
   faulty.faults = &lazy;
   s.faulty_holdings = Flatten(RunExchange(g, faulty).holdings);
 

@@ -113,12 +113,12 @@ int main() {
     // ReportStore out-of-range NodeId on count()/reports().
     ExpectDeath([] {
       ReportStore store;
-      store.InitOnePerUser(4);
+      store.AllocateFor(4, 4);
       (void)store.count(4);
     });
     ExpectDeath([] {
       ReportStore store;
-      store.InitOnePerUser(4);
+      store.AllocateFor(4, 4);
       (void)store.reports(17);
     });
     ExpectDeath([] {
@@ -151,6 +151,17 @@ int main() {
       arena.Append(3, Bytes{});
       (void)StartExchange(MakeCirculant(5, 2), std::move(arena));
     });
+    // Injection is a permutation: each report lands in its origin's slot,
+    // whatever order the users appended in.
+    PayloadArena reversed;
+    for (NodeId r = 0; r < 5; ++r) reversed.Append(4 - r, Bytes{});
+    const ExchangeResult injected =
+        StartExchange(MakeCirculant(5, 2), std::move(reversed));
+    CHECK(injected.rounds == 0);
+    for (NodeId u = 0; u < 5; ++u) {
+      CHECK(injected.holdings.count(u) == 1);
+      CHECK(injected.holdings.reports(u)[0] == 4 - u);
+    }
   }
 
   // ---- Protocol accounting over variable-length payloads ------------------

@@ -1,8 +1,9 @@
 // Incremental-execution acceptance: splitting a Session run into Step()
 // chunks — with mid-run Finalize calls in between — is bit-identical to the
-// equivalent one-shot engine run, for both reporting protocols, with
-// metrics, and at 1 vs 4 threads (the engine keys every coin on the
-// absolute round index; see shuffle/engine.h ExchangeOptions::first_round).
+// equivalent one-shot engine run, for both reporting protocols, with the
+// traffic observed per step, and at 1 vs 4 threads (the engine keys every
+// coin on the absolute round index; see shuffle/engine.h
+// ExchangeOptions::first_round).
 // Also pins the ExchangeWorkspace reuse contract: steady-state Step(1)
 // calls allocate nothing (counted via a global operator new override).
 
@@ -75,14 +76,12 @@ MetricsSnapshot Snapshot(const ShuffleMetrics& m) {
   return {m.max_user_traffic(), m.mean_user_traffic(), m.max_user_memory()};
 }
 
-Session MakeSession(const Graph& g, ReportingProtocol protocol,
-                    ShuffleMetrics* metrics) {
+Session MakeSession(const Graph& g, ReportingProtocol protocol) {
   SessionConfig config;
   config.SetGraph(Graph(g))
       .SetProtocol(protocol)
       .SetRounds(kRounds)
-      .SetSeed(kSeed)
-      .SetMetrics(metrics);
+      .SetSeed(kSeed);
   Expected<Session> created = Session::Create(std::move(config));
   CHECK(created.ok());
   return std::move(created).value();
@@ -90,28 +89,27 @@ Session MakeSession(const Graph& g, ReportingProtocol protocol,
 
 void CheckIncrementalEqualsOneShot(const Graph& g,
                                    ReportingProtocol protocol) {
-  // Ground truth: the one-shot engine run the deprecated facade performed.
-  ShuffleMetrics oneshot_metrics(kUsers);
+  // Ground truth: the one-shot engine run the deprecated facade performed,
+  // and the traffic of the same exchange observed round by round.
   ExchangeOptions opts;
   opts.rounds = kRounds;
   opts.seed = kSeed;
-  opts.metrics = &oneshot_metrics;
   const ProtocolResult oneshot = RunProtocol(g, protocol, opts);
+  ShuffleMetrics oneshot_metrics(kUsers);
+  CheckSameInbox(
+      FinalizeProtocol(
+          netshuffle_test::ObservedExchange(g, opts, &oneshot_metrics),
+          protocol, kSeed),
+      oneshot);
   const MetricsSnapshot oneshot_m = Snapshot(oneshot_metrics);
 
   // Session::Run (step-to-target + finalize).
-  ShuffleMetrics run_metrics(kUsers);
-  Session whole = MakeSession(g, protocol, &run_metrics);
+  Session whole = MakeSession(g, protocol);
   CheckSameInbox(whole.Run(), oneshot);
-  const MetricsSnapshot run_m = Snapshot(run_metrics);
-  CHECK(run_m.max_traffic == oneshot_m.max_traffic);
-  CHECK_NEAR(run_m.mean_traffic, oneshot_m.mean_traffic, 0.0);
-  CHECK(run_m.max_memory == oneshot_m.max_memory);
 
   // Uneven Step() chunks with a mid-run Finalize (which must not disturb
   // the stream) — still bit-identical.
-  ShuffleMetrics step_metrics(kUsers);
-  Session chunked = MakeSession(g, protocol, &step_metrics);
+  Session chunked = MakeSession(g, protocol);
   CHECK(chunked.Step(1).ok());
   CHECK(chunked.Step(4).ok());
   const ProtocolResult midrun = chunked.Finalize();
@@ -119,18 +117,19 @@ void CheckIncrementalEqualsOneShot(const Graph& g,
   CHECK(chunked.Step(10).ok());
   CHECK(chunked.current_round() == kRounds);
   CheckSameInbox(chunked.Finalize(), oneshot);
-  const MetricsSnapshot step_m = Snapshot(step_metrics);
-  CHECK(step_m.max_traffic == oneshot_m.max_traffic);
-  CHECK_NEAR(step_m.mean_traffic, oneshot_m.mean_traffic, 0.0);
-  CHECK(step_m.max_memory == oneshot_m.max_memory);
 
   // One round at a time, checking the incremental accounting curve against
   // the closed form the facade reported at every prefix.
-  Session single_steps = MakeSession(g, protocol, nullptr);
+  // Observing the session's state after every step measures what the
+  // one-shot run measured.
+  Session single_steps = MakeSession(g, protocol);
+  ShuffleMetrics step_metrics(kUsers);
+  step_metrics.Observe(single_steps.exchange());
   const double pi_sq = StationarySumSquares(g);
   for (size_t t = 1; t <= kRounds; ++t) {
     CHECK(single_steps.Step(1).ok());
     CHECK(single_steps.current_round() == t);
+    step_metrics.Observe(single_steps.exchange());
     NetworkShufflingBoundInput in;
     in.epsilon0 = 1.0;
     in.n = kUsers;
@@ -150,6 +149,11 @@ void CheckIncrementalEqualsOneShot(const Graph& g,
     }
   }
   CheckSameInbox(single_steps.Finalize(), oneshot);
+  const MetricsSnapshot step_m = Snapshot(step_metrics);
+  CHECK(step_m.max_traffic == oneshot_m.max_traffic);
+  CHECK_NEAR(step_m.mean_traffic, oneshot_m.mean_traffic, 0.0);
+  CHECK(step_m.max_memory == oneshot_m.max_memory);
+  CHECK(step_metrics.user_traffic() == oneshot_metrics.user_traffic());
 }
 
 // Workspace reuse: a serving loop stepping one round at a time must not
@@ -200,7 +204,7 @@ int main() {
     CheckIncrementalEqualsOneShot(g, ReportingProtocol::kAll);
     CheckIncrementalEqualsOneShot(g, ReportingProtocol::kSingle);
 
-    Session s = MakeSession(g, ReportingProtocol::kAll, nullptr);
+    Session s = MakeSession(g, ReportingProtocol::kAll);
     CHECK(s.Step(kRounds).ok());
     per_thread_results.push_back(s.Finalize());
   }
