@@ -14,13 +14,6 @@
 // PR 4 struct-routing throughput, and CI's scale job fails on a > 20% drop
 // (tools/perf_gate.py).
 //
-// Sharded mode (DESIGN.md §11): the default in-RAM run also sweeps the
-// sharded exchange — serial vs 1/2/4 loopback workers plus a 4-worker
-// process-transport point on one mid-size regular graph — and lands
-// reports/s, messages/round, and cross-shard bytes/round/user in the same
-// BENCH_scale_throughput.json, gated by bench/baseline_scale_sharded.json
-// (cross-shard bytes/user and the 1-shard seam ratio as higher-is-worse).
-//
 // Out-of-core mode (NS_BACKEND=mmap, DESIGN.md §9): one big run — n = 10^6
 // x NS_SCALE users with 128-byte payloads on a degree-4 circulant — with
 // every column file-backed, so the box provides RAM for the graph and the
@@ -44,8 +37,6 @@
 #include "graph/spectral.h"
 #include "shuffle/backend.h"
 #include "shuffle/engine.h"
-#include "shuffle/sharded.h"
-#include "shuffle/transport.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -381,143 +372,6 @@ int main() {
   }
   bench.SetHeadline("kregular_reports_per_sec_largest_n", headline);
   t.Print();
-
-  // ---- Sharded exchange sweep (DESIGN.md §11) -----------------------------
-  // One mid-size regular graph, the serial engine versus
-  // ShardedResumeExchange at several worker counts: reports/s plus the communication-cost columns —
-  // messages/round (== shards * (shards-1), coalescing working as designed)
-  // and cross-shard bytes per round and per user-round.  The S=1 loopback
-  // row is the "seam is free when unused" claim: it must track the serial
-  // engine (sharded_seam_ratio, gated by bench/baseline_scale_sharded.json
-  // alongside sharded_cross_bytes_per_user as higher-is-worse).
-  {
-    const size_t n =
-        std::max<size_t>(1000, static_cast<size_t>(scale * 100000));
-    Rng rng(2022);
-    Graph g = MakeRandomRegular(n, 20, &rng);
-    const size_t rounds = MixingTime(EstimateSpectralGap(g).gap, n);
-    ExchangeOptions opts;
-    opts.rounds = rounds;
-    opts.seed = 7;
-    const double routed =
-        static_cast<double>(n) * static_cast<double>(rounds);
-
-    // Best-of-3 serial reference: the seam ratio divides two short walls,
-    // so single-sample scheduler noise would dominate it.
-    const auto timed_serial = [&]() {
-      double best = 1e30;
-      for (int rep = 0; rep < 3; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        ExchangeResult ex = RunExchange(g, opts);
-        const double wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-        if (ex.holdings.num_reports() != n) return -1.0;
-        best = std::min(best, wall);
-      }
-      return best;
-    };
-    const double serial_wall = timed_serial();
-    if (serial_wall < 0.0) {
-      std::fprintf(stderr, "sharded sweep: serial conservation violated\n");
-      bench.MarkFailed();
-      return 1;
-    }
-    const double serial_rps = routed / serial_wall;
-
-    Table st({"transport", "shards", "exchange s", "reports/s", "msgs/round",
-              "xshard B/round", "xshard B/user/round"});
-    st.NewRow()
-        .Add("(serial)")
-        .AddInt(1)
-        .AddDouble(serial_wall, 3)
-        .AddSci(serial_rps, 3)
-        .AddInt(0)
-        .AddInt(0)
-        .AddDouble(0.0, 1);
-
-    struct Point {
-      TransportKind transport;
-      size_t shards;
-      int reps;  // best-of for noise-sensitive rows
-    };
-    const Point points[] = {
-        {TransportKind::kLoopback, 1, 3},  // the seam-overhead row
-        {TransportKind::kLoopback, 2, 1},
-        {TransportKind::kLoopback, 4, 1},
-        {TransportKind::kProcess, 4, 1},
-    };
-    double s1_rps = 0.0;
-    for (const Point& p : points) {
-      double best_wall = 1e30;
-      ShardedStats stats;
-      for (int rep = 0; rep < p.reps; ++rep) {
-        ExchangeResult state = StartExchange(g);
-        ShardedOptions sop;
-        sop.shards = p.shards;
-        sop.transport = p.transport;
-        ShardedStats run_stats;
-        const auto start = std::chrono::steady_clock::now();
-        const Status status =
-            ShardedResumeExchange(g, &state, opts, sop, &run_stats);
-        const double wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-        if (!status.ok() || state.holdings.num_reports() != n) {
-          std::fprintf(stderr, "sharded sweep (%s, %zu shards): %s\n",
-                       TransportKindName(p.transport), p.shards,
-                       status.ok() ? "report conservation violated"
-                                   : status.ToString().c_str());
-          bench.MarkFailed();
-          return 1;
-        }
-        best_wall = std::min(best_wall, wall);
-        stats = run_stats;  // deterministic per point; any rep's copy works
-      }
-      const double rps = routed / best_wall;
-      const double bytes_per_round = stats.BytesPerRound();
-      const double bytes_per_user_round =
-          bytes_per_round / static_cast<double>(n);
-      st.NewRow()
-          .Add(TransportKindName(p.transport))
-          .AddInt(static_cast<long long>(p.shards))
-          .AddDouble(best_wall, 3)
-          .AddSci(rps, 3)
-          .AddDouble(stats.MessagesPerRound(), 1)
-          .AddDouble(bytes_per_round, 1)
-          .AddDouble(bytes_per_user_round, 2);
-      const std::string prefix = std::string("sharded_") +
-                                 TransportKindName(p.transport) + "_s" +
-                                 std::to_string(p.shards);
-      bench.AddMetric(prefix + "_reports_per_sec", rps);
-      bench.AddMetric(prefix + "_messages_per_round",
-                      stats.MessagesPerRound());
-      bench.AddMetric(prefix + "_cross_bytes_per_round", bytes_per_round);
-      if (p.transport == TransportKind::kLoopback && p.shards == 1) {
-        s1_rps = rps;
-      }
-      if (p.transport == TransportKind::kLoopback && p.shards == 4) {
-        // The gated comms-cost number: cross-shard wire bytes per user per
-        // round at the widest loopback point (deterministic given n).
-        bench.AddMetric("sharded_cross_bytes_per_user", bytes_per_user_round);
-      }
-    }
-    bench.AddMetric("sharded_n", static_cast<double>(n));
-    bench.AddMetric("sharded_rounds", static_cast<double>(rounds));
-    bench.AddMetric("sharded_serial_reports_per_sec", serial_rps);
-    // >= 1.0-ish when the seam costs anything; gated higher-is-worse so a
-    // regression that sneaks transport work into the 1-shard path fails CI.
-    const double seam_ratio = s1_rps > 0.0 ? serial_rps / s1_rps : 1e9;
-    bench.AddMetric("sharded_seam_ratio", seam_ratio);
-
-    std::printf("\nSharded exchange sweep: n=%zu, t=%zu rounds\n\n", n,
-                rounds);
-    st.Print();
-    std::printf(
-        "\nseam ratio (serial rps / 1-shard loopback rps): %.3f — the "
-        "1-shard path must track the serial engine\n",
-        seam_ratio);
-  }
 
   std::printf(
       "\nReading: reports/s should stay roughly flat as n grows 100x — the "

@@ -41,8 +41,7 @@ Status Session::ValidateWith(const SessionConfig& config,
     return Status::Error(
         StatusCode::kInvalidArgument,
         "SetShards(" + std::to_string(config.shards()) +
-            "): a Session runs one exchange path and accepts only 1; shard "
-            "an exchange with ShardedResumeExchange (shuffle/sharded.h)");
+            "): a Session runs one exchange path and accepts only 1");
   }
   if (!std::isfinite(config.epsilon0()) || config.epsilon0() <= 0.0) {
     return Status::Error(StatusCode::kInvalidEpsilon,

@@ -125,10 +125,9 @@ class SessionConfig {
 
   /// Accepts only 1, the default.  Any other value is a typed
   /// kInvalidArgument at Validate and Create: a Session runs one exchange
-  /// path, the thread-pool engine; sharding is a library call over an
-  /// ExchangeResult (shuffle/sharded.h).  This setter goes once the
-  /// perfbench drivers drop their SetShards(1) calls
-  /// (perfbench/src/pipeline.cc, perfbench/src/replay.cc).
+  /// path, the thread-pool engine.  This setter goes once the perfbench
+  /// drivers drop their SetShards(1) calls (perfbench/src/pipeline.cc,
+  /// perfbench/src/replay.cc).
   SessionConfig& SetShards(size_t shards) {
     shards_ = shards;
     return *this;

@@ -302,9 +302,10 @@ class FlatColumn {
     return hosted() && file_ != nullptr ? file_->bytes() : 0;
   }
 
-  /// Round-granular out-of-core schedule, called by the engine per shard
-  /// slice.  No-ops for heap columns; hosted columns prefault the slice
-  /// and record the touch in the backend's block accounting.
+  /// Round-granular out-of-core schedule, called by the engine once per
+  /// round over the source arena.  No-ops for heap columns; hosted columns
+  /// prefault the slice and record the touch in the backend's block
+  /// accounting.
   void AdviseWillNeed(size_t first, size_t count) const;
   /// Releases the whole column's resident pages back to the page cache
   /// (MAP_SHARED: contents survive in the cache / on disk — only this

@@ -82,9 +82,52 @@ void ShuffleMetrics::Observe(const ExchangeResult& state) {
   next_round_ = state.rounds + 1;
 }
 
+// The round (DESIGN.md §4e) is hop -> bucket -> move -> arrive over parts
+// that own contiguous user ranges, four per pool slot.  Parts are
+// thread-pool chunks that hand their batches over in place at a barrier.
+// The round only routes: per-user traffic and holdings counts are taken
+// from outside, by ShuffleMetrics::Observe reading the states it produces.
+namespace engine_internal {
+
+/// `size` routed reports: ids[i] goes to global user dests[i].  A view —
+/// the columns belong to whoever bucketed them.
+struct Batch {
+  const ReportId* ids = nullptr;
+  uint32_t* dests = nullptr;
+  uint32_t size = 0;
+};
+
+/// One part's round scratch: the hop-tile columns and its outgoing batches
+/// by destination part.  Buffers never shrink, so a reused PartScratch
+/// settles after the first rounds.
+struct PartScratch {
+  size_t holders = 0;               // holder count of the part's list
+  std::vector<uint64_t> streams;    // per-holder stream seeds, one tile
+  std::vector<uint64_t> firsts;     // per-holder first words, one tile
+  std::vector<uint32_t> multi;      // tile-local multi-holder list
+  std::vector<uint64_t> coins;      // per-report coin column (grows)
+  std::vector<const NodeId*> addrs; // per-report neighbor addresses (grows)
+  std::vector<Batch> out;           // out[p]: the batch for part p
+  std::vector<Batch> in;            // arriving batches, by source part
+
+  size_t MemoryBytes() const {
+    return (streams.capacity() + firsts.capacity() + coins.capacity()) *
+               sizeof(uint64_t) +
+           multi.capacity() * sizeof(uint32_t) +
+           addrs.capacity() * sizeof(const NodeId*) +
+           (out.capacity() + in.capacity()) * sizeof(Batch);
+  }
+};
+
+}  // namespace engine_internal
+
 namespace {
 
-// Holders per hop tile (DESIGN.md §4e): each shard processes this many
+using engine_internal::Batch;
+using engine_internal::kMaxRoutingParts;
+using engine_internal::PartScratch;
+
+// Holders per hop tile (DESIGN.md §4e): each part processes this many
 // holders' coins before mapping them to destinations, so the coin column,
 // the address column, and the matching dest slice stay cache-resident
 // between the fill / map / dereference sub-passes (at stationarity the mean
@@ -140,16 +183,16 @@ void Deref(const NodeId* const* addrs, uint32_t base, uint32_t end_off,
   for (uint32_t i = base; i < end_off; ++i) dests[i] = *addrs[i - base];
 }
 
-// Fault-path hop for one shard's holder slice: Awake consumes an unknowable
+// Fault-path hop for one part's holder slice: Awake consumes an unknowable
 // number of words from the per-(seed, round, user) stream before the
 // destination draws, so each holder's stream runs through a real Rng and
 // the destinations are drawn scalar — same words, same order, as the
 // fast path below would consume from its batch-filled coin column.
 // Availability is an exceptional regime; this path is kept simple rather
 // than fast.
-void FaultHopShard(const Graph& g, const ExchangeOptions& options,
-                   size_t round, const uint32_t* holder_v,
-                   const uint32_t* holder_b, size_t holders, uint32_t* dests) {
+void FaultHopPart(const Graph& g, const ExchangeOptions& options,
+                  size_t round, const uint32_t* holder_v,
+                  const uint32_t* holder_b, size_t holders, uint32_t* dests) {
   for (size_t h = 0; h < holders; ++h) {
     const NodeId v = holder_v[h];
     const uint32_t b = holder_b[h], e = holder_b[h + 1];
@@ -172,8 +215,8 @@ void FaultHopShard(const Graph& g, const ExchangeOptions& options,
 // the claimed slots (random write, prefetched).  Splitting claim from
 // placement is what makes the placement address known kPrefetchAhead
 // iterations early.  Slot assignment is identical to a fused loop.
-void ScatterBatch(uint32_t* cursor, uint32_t first_user,
-                  const engine_internal::Batch& batch, ReportId* next_arena) {
+void ScatterBatch(uint32_t* cursor, uint32_t first_user, const Batch& batch,
+                  ReportId* next_arena) {
   uint32_t* dests = batch.dests;
   for (uint32_t tile = 0; tile < batch.size; tile += kCoinTile) {
     const uint32_t tile_end = std::min(batch.size, tile + kCoinTile);
@@ -193,26 +236,9 @@ void ScatterBatch(uint32_t* cursor, uint32_t first_user,
   }
 }
 
-}  // namespace
-
-// The round phases are shared with the sharded engine (shuffle/sharded.cc)
-// through shuffle/engine_internal.h — its workers run them unmodified over
-// their contiguous user ranges, which is what makes the bit-identity
-// argument a pure placement-order argument.
-namespace engine_internal {
-
-void CheckResumeContract(const char* entry, const ExchangeOptions& options,
-                         size_t prior_rounds) {
-  const Status valid = ValidateExchangeOptions(options);
-  if (!valid.ok()) NETSHUFFLE_FATAL(valid.ToString());
-  if (options.first_round != prior_rounds) {
-    NETSHUFFLE_FATAL(std::string(entry) + ": options.first_round (" +
-                     std::to_string(options.first_round) +
-                     ") must equal the rounds already executed (" +
-                     std::to_string(prior_rounds) + ")");
-  }
-}
-
+// The one partition formula: part c of `parts` owns users
+// [bounds[c], bounds[c+1]) with bounds[c] = c * n / parts, so ascending
+// parts are ascending users.
 void PartitionUsers(size_t n, size_t parts, std::vector<uint32_t>* bounds) {
   bounds->resize(parts + 1);
   for (size_t c = 0; c <= parts; ++c) {
@@ -221,8 +247,13 @@ void PartitionUsers(size_t n, size_t parts, std::vector<uint32_t>* bounds) {
   }
 }
 
-// Branch-free: the candidate entry is written unconditionally and the
-// length advances only for users that actually hold something.
+// Builds the holder list of a part's CSR: for users first_user + u,
+// u in [0, users), with offsets[u + 1] > offsets[u], appends
+// holder_v = first_user + u and holder_b = offsets[u], then a sentinel
+// (first_user + users, offsets[users]) bounding the last run.  holder_v and
+// holder_b need users + 1 entries.  Returns the holder count.  Branch-free:
+// the candidate entry is written unconditionally and the length advances
+// only for users that actually hold something.
 size_t BuildHolderList(const uint32_t* offsets, uint32_t first_user,
                        size_t users, uint32_t* holder_v, uint32_t* holder_b) {
   size_t num_holders = 0;
@@ -239,16 +270,13 @@ size_t BuildHolderList(const uint32_t* offsets, uint32_t first_user,
   return num_holders;
 }
 
-size_t PartScratch::MemoryBytes() const {
-  return (streams.capacity() + firsts.capacity() + coins.capacity()) *
-             sizeof(uint64_t) +
-         multi.capacity() * sizeof(uint32_t) +
-         addrs.capacity() * sizeof(const NodeId*) +
-         (out.capacity() + in.capacity()) * sizeof(Batch);
-}
-
-// One part's hop pass for one round, over its holder list (users with at
-// least one held report, in ascending user order).
+// Hop: one part's pass for one round over the first `holders` entries of
+// its sentinel-terminated holder list (users with at least one held report,
+// in ascending user order).  Draws every holder's destinations from its
+// per-(options.seed, round, user) stream and writes them into dests[]
+// (indexed by the holder runs' arena offsets); the scalar fault path runs
+// when options.faults != nullptr.
+//
 // Tile by tile over holders:
 //   A1. stream seeds + first words for every holder in the tile, as one
 //       flat batch (util/rng.h BatchStreamSeeds — AVX-512 when available);
@@ -265,11 +293,11 @@ size_t PartScratch::MemoryBytes() const {
 // The coin schedule and the per-slice draw order are exactly the scalar
 // engine's, so determinism is untouched (DESIGN.md §4e; pinned by
 // tests/test_kernel_differential.cc).
-void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
-              const uint32_t* holder_v, const uint32_t* holder_b,
-              size_t holders, uint32_t* dests, PartScratch* scratch) {
+void HopPart(const Graph& g, const ExchangeOptions& options, size_t round,
+             const uint32_t* holder_v, const uint32_t* holder_b,
+             size_t holders, uint32_t* dests, PartScratch* scratch) {
   if (options.faults != nullptr) {
-    FaultHopShard(g, options, round, holder_v, holder_b, holders, dests);
+    FaultHopPart(g, options, round, holder_v, holder_b, holders, dests);
     return;
   }
 
@@ -367,6 +395,13 @@ void HopShard(const Graph& g, const ExchangeOptions& options, size_t round,
   }
 }
 
+// Bucket: groups a part's hopped reports, arena positions [begin, end), by
+// destination part (owner under `bounds`, parts <= kMaxRoutingParts),
+// keeping arena order within each group, into the same positions of
+// out_ids/out_dests, and points scratch->out[p] at group p.  With one part
+// the source columns are the batch: nothing is copied, and out_ids/out_dests
+// may be null.
+//
 // Owner lookup: the multiply-shift guess (d * parts) / n, to 57 fractional
 // bits, is at most one below the owner under the floor-division bounds, and
 // the fixup loops correct it — no 64-bit division per report.  Two passes
@@ -387,7 +422,7 @@ void BucketPart(const ReportId* ids, uint32_t* dests, uint32_t begin,
     while (d >= bounds[q + 1]) ++q;
     return q;
   };
-  uint32_t fill[kMaxBucketParts + 1] = {begin};
+  uint32_t fill[kMaxRoutingParts + 1] = {begin};
   for (uint32_t i = begin; i < end; ++i) ++fill[owner(dests[i]) + 1];
   for (size_t p = 0; p < parts; ++p) {
     fill[p + 1] += fill[p];
@@ -401,6 +436,16 @@ void BucketPart(const ReportId* ids, uint32_t* dests, uint32_t begin,
   }
 }
 
+// Arrive: sorts the batches destined for users [first_user, first_user +
+// width) into next_arena.  Counts each destination's load into counts
+// (width entries), runs one prefix sum from slot `base` that writes
+// next_offsets[0, width) — never next_offsets[width], which belongs to the
+// next part — and rebuilds the holder list exactly as BuildHolderList would
+// (holder_v/holder_b need width + 1 entries), then scatters the batches in
+// ascending source order, so each destination's slice fills in ascending
+// (source part, position) order: the canonical ascending-sender layout.
+// Overwrites every batch's dests with its claimed slots.  Returns the next
+// round's holder count.
 size_t ArrivePart(const Batch* in, size_t sources, uint32_t first_user,
                   uint32_t width, uint32_t base, uint32_t* counts,
                   uint32_t* next_offsets, uint32_t* holder_v,
@@ -432,7 +477,7 @@ size_t ArrivePart(const Batch* in, size_t sources, uint32_t first_user,
   return holders;
 }
 
-}  // namespace engine_internal
+}  // namespace
 
 ExchangeWorkspace::ExchangeWorkspace() = default;
 ExchangeWorkspace::~ExchangeWorkspace() = default;
@@ -447,7 +492,7 @@ size_t ExchangeWorkspace::MemoryBytes() const {
                   bounds_.capacity() + holder_v_.capacity() +
                   holder_b_.capacity()) *
                      sizeof(uint32_t);
-  for (const engine_internal::PartScratch& p : parts_) bytes += p.MemoryBytes();
+  for (const PartScratch& p : parts_) bytes += p.MemoryBytes();
   return bytes;
 }
 
@@ -531,8 +576,16 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
 ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
                               const ExchangeOptions& options,
                               ExchangeWorkspace* workspace) {
-  engine_internal::CheckResumeContract("ResumeExchange", options,
-                                       prior.rounds);
+  const Status valid = ValidateExchangeOptions(options);
+  if (!valid.ok()) NETSHUFFLE_FATAL(valid.ToString());
+  // A mismatched offset would draw coins from the wrong per-round streams
+  // and silently diverge from the one-shot schedule.
+  if (options.first_round != prior.rounds) {
+    NETSHUFFLE_FATAL("ResumeExchange: options.first_round (" +
+                     std::to_string(options.first_round) +
+                     ") must equal the rounds already executed (" +
+                     std::to_string(prior.rounds) + ")");
+  }
 
   const size_t n = g.num_nodes();
   ExchangeResult result = std::move(prior);
@@ -582,8 +635,8 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
   ws.holder_v_.resize(n + parts);
   ws.holder_b_.resize(n + parts);
   ws.parts_.resize(parts);
-  for (engine_internal::PartScratch& p : ws.parts_) p.in.resize(parts);
-  engine_internal::PartitionUsers(n, parts, &ws.bounds_);
+  for (PartScratch& p : ws.parts_) p.in.resize(parts);
+  PartitionUsers(n, parts, &ws.bounds_);
   const uint32_t* bounds = ws.bounds_.data();
   uint32_t* dests = ws.dests_.data();
   uint32_t* holder_v = ws.holder_v_.data();
@@ -606,18 +659,17 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     // lists come from the incoming store; later rounds get theirs from the
     // arrive phase.
     GlobalPool().RunChunks(parts, [&](size_t c) {
-      engine_internal::PartScratch& part = ws.parts_[c];
+      PartScratch& part = ws.parts_[c];
       const uint32_t lo = bounds[c], b0 = offsets[lo];
       if (step == 0) {
-        part.holders = engine_internal::BuildHolderList(
-            offsets + lo, lo, bounds[c + 1] - lo, holder_v + lo + c,
-            holder_b + lo + c);
+        part.holders =
+            BuildHolderList(offsets + lo, lo, bounds[c + 1] - lo,
+                            holder_v + lo + c, holder_b + lo + c);
       }
-      engine_internal::HopShard(g, options, round, holder_v + lo + c,
-                                holder_b + lo + c, part.holders, dests, &part);
-      engine_internal::BucketPart(arena, dests, b0, offsets[bounds[c + 1]],
-                                  bounds, parts, ws.batch_ids_.data(),
-                                  ws.batch_dests_.data(), &part);
+      HopPart(g, options, round, holder_v + lo + c, holder_b + lo + c,
+              part.holders, dests, &part);
+      BucketPart(arena, dests, b0, offsets[bounds[c + 1]], bounds, parts,
+                 ws.batch_ids_.data(), ws.batch_dests_.data(), &part);
     });
 
     // Move: the barrier above hands every batch over in place.  Arrive
@@ -628,17 +680,17 @@ ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
     uint32_t* next_offsets = ws.next_.mutable_offsets();
     ReportId* next_arena = ws.next_.mutable_arena();
     GlobalPool().RunChunks(parts, [&](size_t c) {
-      engine_internal::PartScratch& part = ws.parts_[c];
+      PartScratch& part = ws.parts_[c];
       uint32_t base = 0;
       for (size_t q = 0; q < parts; ++q) {
         part.in[q] = ws.parts_[q].out[c];
         for (size_t p = 0; p < c; ++p) base += ws.parts_[q].out[p].size;
       }
       const uint32_t lo = bounds[c];
-      part.holders = engine_internal::ArrivePart(
-          part.in.data(), parts, lo, bounds[c + 1] - lo, base,
-          ws.counts_.data() + lo, next_offsets + lo, holder_v + lo + c,
-          holder_b + lo + c, next_arena);
+      part.holders = ArrivePart(part.in.data(), parts, lo, bounds[c + 1] - lo,
+                                base, ws.counts_.data() + lo,
+                                next_offsets + lo, holder_v + lo + c,
+                                holder_b + lo + c, next_arena);
     });
     next_offsets[n] = offsets[n];  // reports are conserved
     store.SwapWith(&ws.next_);

@@ -112,7 +112,7 @@ class ShuffleMetrics {
 
 class ExchangeWorkspace;
 namespace engine_internal {
-struct PartScratch;  // shuffle/engine_internal.h
+struct PartScratch;  // shuffle/engine.cc
 }  // namespace engine_internal
 
 ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,

@@ -1,14 +1,14 @@
 // The one reference oracle every differential test pins the exchange
-// engines against (tests/test_kernel_differential.cc, test_flat_store.cc,
-// test_sharded_differential.cc, and test_engine.cc for the traffic
-// observer): a naive scalar implementation of the protocol's round
-// schedule, plus the patterned payloads, the round-by-round observed run
-// and the element-by-element comparisons the tests share.
+// engine against (tests/test_kernel_differential.cc, test_flat_store.cc,
+// and test_engine.cc for the traffic observer): a naive scalar
+// implementation of the protocol's round schedule, plus the patterned
+// payloads, the round-by-round observed run and the element-by-element
+// comparisons the tests share.
 //
 // The schedule, kept deliberately naive: users in ascending order, one fresh
 // Rng per (seed, round, user), the Awake coin before any destination draw,
 // one UniformInt(degree) per held report in holding order, push_back into
-// per-destination vectors.  Ascending-user push order IS the engines'
+// per-destination vectors.  Ascending-user push order IS the engine's
 // canonical ascending-(part, sender) placement for contiguous parts, so the
 // two layouts must match slot for slot.
 

@@ -12,8 +12,9 @@
 //     classes, including the deg-pair fast paths),
 //   - Barabasi-Albert power-law tails (m in {1, 2, 5, 8}),
 //   - graphs with isolated users (the deg == 0 keep-in-place path),
-//   - n == 1 and a 6000-leaf star whose hub accumulates far more than one
-//     coin tile (kCoinTile = 4096) of reports — the grown-tile path,
+//   - n == 0, n == 1, n == 3 (fewer users than parts: one user per part)
+//     and a 6000-leaf star whose hub accumulates far more than one coin
+//     tile (kCoinTile = 4096) of reports — the grown-tile path,
 //   - fault schedules (LazyFaultModel: Awake consumes stream draws) and
 //     fault-free runs (the batched FirstRawDraw/FillStreamRaw fast path),
 //
@@ -77,6 +78,7 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
         ReferenceRound(g, r, seed, faults, &ref);
         CheckIdentical(state, ref);
       }
+      CHECK(state.rounds == rounds);
 
       ExchangeOptions whole;
       whole.rounds = rounds;
@@ -85,6 +87,7 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
       ExchangeResult oneshot =
           ResumeExchange(g, StartExchange(g, PatternArena(n, backend)), whole);
       CheckIdentical(oneshot, ref);
+      CHECK(oneshot.rounds == rounds);
     }
   }
   SetThreadCount(0);
@@ -143,6 +146,22 @@ int main() {
   {
     const Graph g = Graph::FromEdges(1, {});
     RunCase("single-user", g, /*rounds=*/5, meta.Next(), nullptr, &ws, backend);
+  }
+
+  // Fewer users than parts: at every width above 1, RoutingParts clamps to
+  // n = 3, one user per part.  Fixed seeds keep the meta stream of the
+  // cases below unchanged.
+  {
+    const Graph g = Graph::FromEdges(3, {{0, 1}, {1, 2}, {2, 0}});
+    RunCase("tiny-n3", g, /*rounds=*/5, /*seed=*/3, nullptr, &ws, backend);
+    RunCase("tiny-n3", g, /*rounds=*/5, /*seed=*/4, &lazy, &ws, backend);
+  }
+
+  // Empty population: nothing to route, but the rounds still accumulate.
+  {
+    const Graph g = Graph::FromEdges(0, {});
+    RunCase("empty-n0", g, /*rounds=*/3, /*seed=*/1, nullptr, &ws, backend);
+    RunCase("empty-n0", g, /*rounds=*/3, /*seed=*/2, &lazy, &ws, backend);
   }
 
   // 6000-leaf star: after one round the hub holds ~n reports — far past one

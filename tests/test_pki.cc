@@ -40,6 +40,34 @@ int main() {
   CHECK(AeadSeal(key, 43, 1, msg) != sealed);
   CHECK(AeadSeal(key, 42, 2, msg) != sealed);
 
+  // ---- Known answer --------------------------------------------------------
+  // RFC 8439 §2.8.2's key, nonce and plaintext without its AAD: the 96-bit
+  // nonce (message nonce LE64, layer LE32) is 07000000 4041424344454647.
+  // The expected bytes match an independent ChaCha20-Poly1305 with an empty
+  // AAD, so this pins the cipher, the MAC and their little-endian byte order.
+  {
+    AeadKey kat_key;
+    for (size_t i = 0; i < kAeadKeyBytes; ++i) {
+      kat_key.bytes[i] = static_cast<uint8_t>(0x80 + i);
+    }
+    const char* text = "Ladies and Gentlemen of the class of '99";
+    const Bytes plaintext(text, text + 40);
+    const uint8_t expected[] = {
+        0xd3, 0x1a, 0x8d, 0x34, 0x64, 0x8e, 0x60, 0xdb, 0x7b, 0x86, 0xaf,
+        0xbc, 0x53, 0xef, 0x7e, 0xc2, 0xa4, 0xad, 0xed, 0x51, 0x29, 0x6e,
+        0x08, 0xfe, 0xa9, 0xe2, 0xb5, 0xa7, 0x36, 0xee, 0x62, 0xd6, 0x3d,
+        0xbe, 0xa4, 0x5e, 0x8c, 0xa9, 0x67, 0x12, 0x2e, 0xb8, 0x38, 0xbb,
+        0x95, 0x7e, 0x60, 0xb8, 0xf3, 0x0a, 0x8b, 0xc4, 0x90, 0x05, 0x7b,
+        0xad};
+    const uint64_t kat_nonce = 0x4342414000000007ULL;
+    const uint32_t kat_layer = 0x47464544u;
+    const Bytes kat_sealed = AeadSeal(kat_key, kat_nonce, kat_layer, plaintext);
+    CHECK(kat_sealed == Bytes(expected, expected + sizeof(expected)));
+    Bytes kat_opened;
+    CHECK(AeadOpen(kat_key, kat_nonce, kat_layer, kat_sealed, &kat_opened));
+    CHECK(kat_opened == plaintext);
+  }
+
   // ---- Tamper DETECTION (not just garbling) -------------------------------
   // Wrong key / wrong nonce / wrong layer: authentication fails and the
   // output is cleared, never a garbled plaintext.

@@ -642,7 +642,7 @@ int main() {
       cfg.SetShards(shards);
       const Status v = Session::Validate(cfg);
       CHECK(v.code() == StatusCode::kInvalidArgument);
-      CHECK(v.message().find("ShardedResumeExchange") != std::string::npos);
+      CHECK(v.message().find("accepts only 1") != std::string::npos);
       CHECK(CreateError(cfg) == StatusCode::kInvalidArgument);
     }
   }

@@ -6,12 +6,6 @@ baseline in bench/baseline_*.json and fails (exit 1) when the measured
 headline drops below tolerance * baseline.  A run that did not complete
 ("completed": false) also fails: a bailed harness must not pass the gate.
 
-A baseline gates the bench's headline by default; setting
-"headline_source": "metrics" gates metrics.<headline_metric> instead, so a
-harness that emits several trajectories into one JSON (e.g. the sharded
-sweep inside BENCH_scale_throughput.json) can carry a second baseline
-against a non-headline throughput metric.
-
 Beyond the headline, a baseline can pin higher-is-WORSE metrics:
 
   - "p99_latency_ms" (top-level, legacy spelling): gates
@@ -82,21 +76,13 @@ def main() -> int:
     metric = baseline.get("headline_metric")
     if metric is None:
         return fail(f"{baseline_path} pins no 'headline_metric'")
-    if baseline.get("headline_source") == "metrics":
-        measured = bench.get("metrics", {}).get(metric)
-        if measured is None:
-            return fail(
-                f"baseline gates metrics.{metric} but the bench JSON has "
-                f"no such metric"
-            )
-    else:
-        headline = bench.get("headline", {})
-        if headline.get("metric") != metric:
-            return fail(
-                f"headline metric mismatch: bench tracks "
-                f"{headline.get('metric')!r}, baseline pins {metric!r}"
-            )
-        measured = headline.get("value")
+    headline = bench.get("headline", {})
+    if headline.get("metric") != metric:
+        return fail(
+            f"headline metric mismatch: bench tracks "
+            f"{headline.get('metric')!r}, baseline pins {metric!r}"
+        )
+    measured = headline.get("value")
     pinned = baseline.get("reports_per_sec")
     if pinned is None:
         return fail(f"{baseline_path} pins no 'reports_per_sec' value")
