@@ -59,6 +59,42 @@ void BM_FullProtocolSingle(benchmark::State& state) {
 }
 BENCHMARK(BM_FullProtocolSingle)->Unit(benchmark::kMillisecond);
 
+// The finalize step alone, on cold-certify's graph shape: the exchange is
+// built once, outside every timed loop, and shared by both cases.
+const ExchangeResult& FinalizeInput() {
+  static const ExchangeResult* const kState = [] {
+    Rng rng(4);
+    const Graph g = MakeBarabasiAlbert(500000, 10, &rng);
+    ExchangeOptions opts;
+    opts.rounds = 24;
+    opts.seed = 5;
+    return new ExchangeResult(RunExchange(g, opts));
+  }();
+  return *kState;
+}
+
+void BM_FinalizeAll(benchmark::State& state) {
+  const ExchangeResult& ex = FinalizeInput();
+  for (auto _ : state) {
+    auto r = FinalizeProtocol(ex, ReportingProtocol::kAll, 6);
+    benchmark::DoNotOptimize(r.server_inbox.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel("BA n=5e5 m=10 after 24 rounds");
+}
+BENCHMARK(BM_FinalizeAll)->Unit(benchmark::kMillisecond);
+
+void BM_FinalizeSingle(benchmark::State& state) {
+  const ExchangeResult& ex = FinalizeInput();
+  for (auto _ : state) {
+    auto r = FinalizeProtocol(ex, ReportingProtocol::kSingle, 6);
+    benchmark::DoNotOptimize(r.server_inbox.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel("BA n=5e5 m=10 after 24 rounds");
+}
+BENCHMARK(BM_FinalizeSingle)->Unit(benchmark::kMillisecond);
+
 void BM_SecureRelayRound(benchmark::State& state) {
   const size_t n = 256;
   Graph g = MakeCirculant(n, 8);

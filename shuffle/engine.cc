@@ -710,30 +710,70 @@ ExchangeResult RunExchange(const Graph& g, const ExchangeOptions& options) {
 
 ProtocolResult FinalizeProtocol(const ExchangeResult& exchange,
                                 ReportingProtocol protocol, uint64_t seed) {
-  Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
   ProtocolResult out;
   out.rounds = exchange.rounds;
   out.payloads = exchange.payloads;
   const ReportStore& store = exchange.holdings;
-  const PayloadArena& arena = *exchange.payloads;
-  out.server_inbox.reserve(store.num_users());
-
-  for (NodeId u = 0; u < store.num_users(); ++u) {
-    const ReportSpan held = store.reports(u);
-    if (held.empty()) {
-      ++out.dummy_reports;
-      continue;
-    }
-    if (protocol == ReportingProtocol::kAll) {
-      for (const ReportId id : held) {
-        out.server_inbox.push_back(FinalReport{id, arena.origin(id), u});
-      }
-    } else {
-      const ReportId id = held[rng.UniformInt(held.size())];
-      out.server_inbox.push_back(FinalReport{id, arena.origin(id), u});
-      out.dropped_reports += held.size() - 1;
-    }
+  const size_t n = store.num_users();
+  // Every routed id is below the store's report count, so one count check
+  // bounds every origins[id] read below.
+  if (exchange.payloads->num_reports() != store.num_reports()) {
+    NETSHUFFLE_FATAL("FinalizeProtocol: arena holds " +
+                     std::to_string(exchange.payloads->num_reports()) +
+                     " reports, the holdings " +
+                     std::to_string(store.num_reports()));
   }
+  // No users submit nothing; RoutingParts would also give zero parts to
+  // partition.
+  if (n == 0) return out;
+  const NodeId* origins = exchange.payloads->origins_data();
+  const uint32_t* offsets = store.offsets_data();
+  const ReportId* arena = store.arena_data();
+
+  if (protocol == ReportingProtocol::kSingle) {
+    // One sequential stream across all users is kSingle's output contract,
+    // so this pass stays serial.
+    Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+    out.server_inbox.reserve(n);
+    for (NodeId u = 0; u < n; ++u) {
+      const size_t held = offsets[u + 1] - offsets[u];
+      if (held == 0) {
+        ++out.dummy_reports;
+        continue;
+      }
+      const ReportId id = arena[offsets[u] + rng.UniformInt(held)];
+      out.server_inbox.push_back(FinalReport{id, origins[id], u});
+      out.dropped_reports += held - 1;
+    }
+    return out;
+  }
+
+  // kAll submits every holding in ascending (user, slot) order, which is
+  // the arena's own order: inbox slot i carries arena[i], so the part
+  // owning users [lo, hi) writes exactly slots [offsets[lo], offsets[hi])
+  // and the parts need no prefix step.  Each part counts its own empty
+  // users; summing in part order makes the inbox bit-identical at any
+  // width.
+  out.server_inbox.resize(store.num_reports());
+  FinalReport* inbox = out.server_inbox.data();
+  const size_t parts = engine_internal::RoutingParts(ThreadCount(), n);
+  std::vector<uint32_t> bounds;
+  PartitionUsers(n, parts, &bounds);
+  size_t empty[kMaxRoutingParts] = {};
+  GlobalPool().RunChunks(parts, [&](size_t c) {
+    const uint32_t lo = bounds[c], hi = bounds[c + 1];
+    FinalReport* slot = inbox + offsets[lo];
+    size_t empties = 0;
+    for (NodeId u = lo; u < hi; ++u) {
+      const uint32_t b = offsets[u], e = offsets[u + 1];
+      empties += (b == e) ? 1 : 0;
+      for (uint32_t i = b; i < e; ++i) {
+        *slot++ = FinalReport{arena[i], origins[arena[i]], u};
+      }
+    }
+    empty[c] = empties;
+  });
+  for (size_t c = 0; c < parts; ++c) out.dummy_reports += empty[c];
   return out;
 }
 

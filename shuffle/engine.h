@@ -207,7 +207,14 @@ ExchangeResult RunExchange(const Graph& g, const ExchangeOptions& options);
 
 /// Applies a reporting protocol to finished holdings, producing the
 /// curator's inbox.  Read-only on the exchange state, so mid-run audits can
-/// finalize repeatedly without copying it.
+/// finalize repeatedly without copying it.  Fatal if the payload arena's
+/// report count differs from the holdings'.
+///
+/// kAll runs on the pool over the engine's user parts: its inbox is the
+/// routing arena in order, so each part fills its own slot range and the
+/// inbox is bit-identical at any width.  kSingle runs serially: one
+/// sequential Rng picks every user's report, and per-user streams would
+/// change which report each user submits.
 ProtocolResult FinalizeProtocol(const ExchangeResult& exchange,
                                 ReportingProtocol protocol, uint64_t seed);
 

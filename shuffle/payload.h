@@ -230,6 +230,13 @@ class PayloadArena {
     if (hosted_) return Mapped("origin")->origins()[r];
     return origins_[r];
   }
+  /// The whole origins column (num_reports() entries), for bulk readers
+  /// that index it from several threads: a hosted arena is mapped here, on
+  /// the calling thread, so the readers touch only the returned pointer.
+  /// Fatal on a map failure, as every read accessor is.
+  const NodeId* origins_data() const {
+    return hosted_ ? Mapped("origins_data")->origins() : origins_.data();
+  }
   PayloadSpan payload(ReportId r) const {
     BoundsCheck(r, "payload");
     const uint32_t* offsets;

@@ -53,7 +53,8 @@ struct ProtocolResult {
   /// with the exchange state so one-shot helpers (RunProtocol) stay safe to
   /// return by value.
   std::shared_ptr<const PayloadArena> payloads;
-  /// Users that submitted a dummy (held nothing, or kSingle surplus slots).
+  /// Users that submitted a dummy because they held nothing (both
+  /// protocols; kSingle's surplus is dropped_reports, not dummies).
   size_t dummy_reports = 0;
   /// Genuine reports not submitted (kSingle surplus).
   size_t dropped_reports = 0;

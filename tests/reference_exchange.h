@@ -1,7 +1,8 @@
 // The one reference oracle every differential test pins the exchange
 // engine against (tests/test_kernel_differential.cc, test_flat_store.cc,
 // and test_engine.cc for the traffic observer): a naive scalar
-// implementation of the protocol's round schedule, plus the patterned
+// implementation of the protocol's round schedule and of its finalize
+// step, plus the patterned
 // payloads, the round-by-round observed run and the element-by-element
 // comparisons the tests share.
 //
@@ -121,6 +122,41 @@ inline ExchangeResult ObservedExchange(const Graph& g,
     metrics->Observe(state);
   }
   return state;
+}
+
+/// The serial finalize every FinalizeProtocol inbox is pinned against:
+/// users in ascending order, each submitting every held report (kAll) or
+/// one drawn from a single sequential Rng (kSingle), empty holders counted
+/// as dummies.
+inline netshuffle::ProtocolResult ReferenceFinalize(
+    const ExchangeResult& exchange, netshuffle::ReportingProtocol protocol,
+    uint64_t seed) {
+  using netshuffle::FinalReport;
+  netshuffle::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+  netshuffle::ProtocolResult out;
+  out.rounds = exchange.rounds;
+  out.payloads = exchange.payloads;
+  const netshuffle::ReportStore& store = exchange.holdings;
+  const PayloadArena& arena = *exchange.payloads;
+  out.server_inbox.reserve(store.num_users());
+
+  for (NodeId u = 0; u < store.num_users(); ++u) {
+    const netshuffle::ReportSpan held = store.reports(u);
+    if (held.empty()) {
+      ++out.dummy_reports;
+      continue;
+    }
+    if (protocol == netshuffle::ReportingProtocol::kAll) {
+      for (const ReportId id : held) {
+        out.server_inbox.push_back(FinalReport{id, arena.origin(id), u});
+      }
+    } else {
+      const ReportId id = held[rng.UniformInt(held.size())];
+      out.server_inbox.push_back(FinalReport{id, arena.origin(id), u});
+      out.dropped_reports += held.size() - 1;
+    }
+  }
+  return out;
 }
 
 /// Element-identical: same id in every slot of every user's slice, and the

@@ -27,6 +27,13 @@
 // or differently-hosted exchange must be invisible; crossing backends
 // exercises the workspace's Unhost/Host re-matching in ResumeExchange), plus
 // a whole-run one-shot comparison through the workspace-free overload.
+//
+// Every checked state is also finalized, kAll and kSingle, and compared
+// with the serial oracle (ReferenceFinalize): mid-run after every round, at
+// every width, over both backends — n == 0 and n == 3 included, and the
+// star, whose hub part holds most of the inbox.  A BA n = 2*10^4 case
+// splits into parts of hundreds of users at every width above 1 and
+// finalizes over a hosted arena whose stream is still unmapped.
 
 #include <cstdio>
 #include <memory>
@@ -46,6 +53,16 @@ using namespace netshuffle;
 using namespace netshuffle_test;
 
 namespace {
+
+// FinalizeProtocol against the serial oracle, both protocols, at the
+// current pool width.
+void CheckFinalize(const ExchangeResult& state, uint64_t seed) {
+  for (ReportingProtocol protocol :
+       {ReportingProtocol::kAll, ReportingProtocol::kSingle}) {
+    CheckSameInbox(FinalizeProtocol(state, protocol, seed),
+                   ReferenceFinalize(state, protocol, seed));
+  }
+}
 
 // One differential case: step the engine round-by-round (rounds = 1,
 // first_round = r) through the SHARED persistent workspace, checking
@@ -68,6 +85,7 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
       ExchangeResult state = StartExchange(g, PatternArena(n, backend));
       CHECK(state.holdings.hosted() == (backend != nullptr));
       CheckIdentical(state, ref);
+      CheckFinalize(state, seed);
       for (size_t r = 0; r < rounds; ++r) {
         ExchangeOptions step;
         step.rounds = 1;
@@ -77,6 +95,7 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
         state = ResumeExchange(g, std::move(state), step, ws);
         ReferenceRound(g, r, seed, faults, &ref);
         CheckIdentical(state, ref);
+        CheckFinalize(state, seed + r);
       }
       CHECK(state.rounds == rounds);
 
@@ -87,6 +106,7 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
       ExchangeResult oneshot =
           ResumeExchange(g, StartExchange(g, PatternArena(n, backend)), whole);
       CheckIdentical(oneshot, ref);
+      CheckFinalize(oneshot, seed);
       CHECK(oneshot.rounds == rounds);
     }
   }
@@ -201,6 +221,41 @@ int main() {
     }
     SetThreadCount(0);
     std::printf("ok: resume-split 1+7+5 rounds, faults=yes\n");
+  }
+
+  // Finalize at scale: at every width above 1 each part owns hundreds of
+  // users, and the first part holds the hubs.  The hosted arenas are
+  // appended after the exchange ran and never sealed, so each stream is
+  // still unmapped when FinalizeProtocol starts and must be mapped once,
+  // before any pool thread reads the origins column.
+  {
+    Rng gen(20220608);
+    const size_t n = 20000;
+    const Graph g = MakeBarabasiAlbert(n, 5, &gen);
+    ExchangeOptions opts;
+    opts.rounds = 6;
+    opts.seed = 61;
+    ExchangeResult state =
+        ResumeExchange(g, StartExchange(g, PatternArena(n)), opts, &ws);
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                           size_t{33}}) {
+      SetThreadCount(threads);
+      CheckFinalize(state, threads);
+      for (ReportingProtocol protocol :
+           {ReportingProtocol::kAll, ReportingProtocol::kSingle}) {
+        ExchangeResult hosted;
+        hosted.holdings = state.holdings;
+        hosted.rounds = state.rounds;
+        hosted.payloads =
+            std::make_shared<const PayloadArena>(PatternArena(n, backend));
+        const ProtocolResult fin = FinalizeProtocol(hosted, protocol, 9);
+        CheckSameInbox(fin, ReferenceFinalize(hosted, protocol, 9));
+        CheckSameInbox(fin, FinalizeProtocol(state, protocol, 9));
+      }
+    }
+    SetThreadCount(0);
+    std::printf("ok: finalize BA n=%zu, heap and unmapped hosted arenas\n",
+                n);
   }
   return 0;
 }
