@@ -3,12 +3,18 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "micro_common.h"
 
 #include "graph/generators.h"
 #include "shuffle/engine.h"
+#include "shuffle/payload.h"
 #include "shuffle/pki.h"
 #include "shuffle/protocol.h"
+#include "shuffle/server.h"
 #include "util/rng.h"
 
 namespace netshuffle {
@@ -94,6 +100,89 @@ void BM_FinalizeSingle(benchmark::State& state) {
   state.SetLabel("BA n=5e5 m=10 after 24 rounds");
 }
 BENCHMARK(BM_FinalizeSingle)->Unit(benchmark::kMillisecond);
+
+// The epoch seal alone (the check + injection of Session::BeginEpoch), on
+// cold-certify's population: n = 5e5 four-byte k-RR reports arriving in
+// ascending user order (first range 0, how perfbench ingests) or in a
+// fixed random order (1).  Second range 1 seals into a workspace whose
+// partner store is handed back after each seal, as a serving Session does;
+// 0 allocates a fresh store each time.  Each iteration seals a fresh copy
+// of the arena; the copy and the freeing of the sealed state are not
+// timed.
+constexpr size_t kSealUsers = 500000;
+
+PayloadArena MakeSealInput(bool shuffled) {
+  std::vector<NodeId> origins(kSealUsers);
+  for (size_t u = 0; u < kSealUsers; ++u) origins[u] = static_cast<NodeId>(u);
+  if (shuffled) {
+    Rng rng(7);
+    for (size_t i = kSealUsers - 1; i > 0; --i) {
+      std::swap(origins[i], origins[rng.UniformInt(i + 1)]);
+    }
+  }
+  PayloadArena arena;
+  arena.Reserve(kSealUsers, 4 * kSealUsers);
+  for (size_t r = 0; r < kSealUsers; ++r) {
+    arena.AppendBucket(origins[r], static_cast<uint32_t>(r % 8));
+  }
+  return arena;
+}
+
+void BM_SealInject(benchmark::State& state) {
+  static const PayloadArena* const kAscending =
+      new PayloadArena(MakeSealInput(false));
+  static const PayloadArena* const kShuffled =
+      new PayloadArena(MakeSealInput(true));
+  const bool shuffled = state.range(0) != 0;
+  const bool recycled = state.range(1) != 0;
+  const PayloadArena& input = shuffled ? *kShuffled : *kAscending;
+  ExchangeWorkspace workspace;
+  for (auto _ : state) {
+    state.PauseTiming();
+    PayloadArena pending = input;
+    state.ResumeTiming();
+    ExchangeResult sealed =
+        SealExchange(kSealUsers, &pending, recycled ? &workspace : nullptr)
+            .value();
+    benchmark::DoNotOptimize(sealed.holdings.arena_data());
+    benchmark::ClobberMemory();
+    if (recycled) workspace.Recycle(std::move(sealed.holdings));
+    state.PauseTiming();
+    sealed = ExchangeResult();
+    state.ResumeTiming();
+  }
+  state.SetLabel(std::string("n=5e5, ") +
+                 (shuffled ? "shuffled" : "ascending") + " arrival, " +
+                 (recycled ? "recycled" : "fresh") + " store");
+}
+BENCHMARK(BM_SealInject)
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Unit(benchmark::kMillisecond);
+
+// The curator's per-epoch receive: ReceiveAll of a finalized kAll inbox
+// (origins mixed by 24 rounds on cold-certify's graph) plus the
+// BeginEpoch that archives and resets its counters.  The inbox copy is
+// not timed.
+void BM_ServerReceiveAll(benchmark::State& state) {
+  static const std::vector<FinalReport>* const kInbox = [] {
+    return new std::vector<FinalReport>(
+        FinalizeProtocol(FinalizeInput(), ReportingProtocol::kAll, 6)
+            .server_inbox);
+  }();
+  Server server(FinalizeInput().holdings.num_users());
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<FinalReport> inbox = *kInbox;
+    state.ResumeTiming();
+    server.ReceiveAll(std::move(inbox));
+    server.BeginEpoch();
+  }
+  state.SetLabel("BA n=5e5 m=10 after 24 rounds");
+}
+BENCHMARK(BM_ServerReceiveAll)->Unit(benchmark::kMillisecond);
 
 void BM_SecureRelayRound(benchmark::State& state) {
   const size_t n = 256;

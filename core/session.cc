@@ -28,11 +28,12 @@ bool ValidSlack(double d) { return std::isfinite(d) && d > 0.0 && d < 1.0; }
 }  // namespace
 
 Status Session::Validate(const SessionConfig& config) {
-  return ValidateWith(config, nullptr);
+  return ValidateWith(config, nullptr, nullptr);
 }
 
 Status Session::ValidateWith(const SessionConfig& config,
-                             SpectralGapEstimate* estimate) {
+                             SpectralGapEstimate* estimate,
+                             ReportStore* holdings) {
   if (config.graph().num_nodes() == 0) {
     return Status::Error(StatusCode::kEmptyGraph,
                          "the communication graph has zero users");
@@ -80,8 +81,12 @@ Status Session::ValidateWith(const SessionConfig& config,
   if (config.has_payloads()) {
     // The same invariant BeginEpoch enforces at each per-epoch seal
     // (shuffle/payload.h); the one-shot path is epoch 0 of that lifecycle.
+    // Create checks it by injecting the arena into the holdings it adopts.
+    const size_t n = config.graph().num_nodes();
     const Status one_per_user =
-        config.payloads().ValidateOnePerUser(config.graph().num_nodes());
+        holdings != nullptr
+            ? InjectHoldings(config.payloads(), n, holdings)
+            : config.payloads().ValidateOnePerUser(n);
     if (!one_per_user.ok()) return one_per_user;
   }
   const bool floor_check =
@@ -116,8 +121,12 @@ Status Session::ValidateWith(const SessionConfig& config,
 
 Expected<Session> Session::Create(SessionConfig config) {
   SpectralGapEstimate spectral;
-  Status status = ValidateWith(config, &spectral);
+  // Epoch 0's exchange state: Validate's payload check injects configured
+  // payloads into its holdings, so they are checked and injected once.
+  ExchangeResult state;
+  Status status = ValidateWith(config, &spectral, &state.holdings);
   if (!status.ok()) return status;
+  const size_t n = config.graph().num_nodes();
 
   // Storage resolution (DESIGN.md §9).  Three cases:
   //   - the configured payloads are already hosted: adopt their backend;
@@ -137,7 +146,6 @@ Expected<Session> Session::Create(SessionConfig config) {
     auto hosted = PayloadArena::Hosted(backend);
     if (!hosted.ok()) return hosted.status();
     PayloadArena arena = std::move(hosted).value();
-    const size_t n = config.graph().num_nodes();
     if (config.has_payloads()) {
       // Report ids are preserved: report r of the spill is report r of the
       // source, so the hosted session is bit-identical to the heap one.
@@ -153,15 +161,28 @@ Expected<Session> Session::Create(SessionConfig config) {
         arena.Append(static_cast<NodeId>(r), nullptr, 0);
       }
     }
-    const Status sealed = arena.Seal(n);
-    if (!sealed.ok()) return sealed;
-    config.SetPayloads(std::move(arena));
+    // The spill replaces the heap-injected state: its routing columns go
+    // on the backend with the arena's.  Map failures are typed here.
+    Expected<ExchangeResult> sealed = SealExchange(n, &arena);
+    if (!sealed.ok()) return sealed.status();
+    state = std::move(sealed).value();
   }
-  return Session(std::move(config), std::move(backend), spectral);
+  if (state.payloads == nullptr) {
+    if (config.has_payloads()) {
+      PayloadArena payloads = config.ReleasePayloads();
+      payloads.Freeze();
+      state.payloads =
+          std::make_shared<const PayloadArena>(std::move(payloads));
+    } else {
+      state = StartExchange(config.graph());
+    }
+  }
+  return Session(std::move(config), std::move(backend), spectral,
+                 std::move(state));
 }
 
 Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
-                 const SpectralGapEstimate& spectral)
+                 const SpectralGapEstimate& spectral, ExchangeResult state)
     : graph_(config.ReleaseGraph()),
       protocol_(config.protocol()),
       epsilon0_(config.epsilon0()),
@@ -198,9 +219,7 @@ Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
   mixing_rounds_ = MixingTime(spectral_.gap, graph_.num_nodes());
   rounds_fixed_ = config.rounds() > 0;
   target_rounds_ = rounds_fixed_ ? config.rounds() : mixing_rounds_;
-  state_ = config.has_payloads()
-               ? StartExchange(graph_, config.ReleasePayloads())
-               : StartExchange(graph_);
+  state_ = std::move(state);
   pending_ = MakePendingArena();
 }
 
@@ -313,26 +332,35 @@ Status Session::BeginEpoch() {
     if (!hosted.ok()) return hosted.status();
     next_pending = std::move(hosted).value();
   }
-  // Seal next: on a short epoch or a duplicate origin this returns the
-  // typed kPayloadMismatch and the epoch does NOT roll — the pending arena
-  // stays mutable (short epochs keep ingesting; duplicates DiscardPending).
-  // Hosted arenas surface column-map failures here as kIoError, likewise
-  // without rolling.
-  const Status sealed = pending_.Seal(num_users_);
-  if (!sealed.ok()) return sealed;
+  // Seal by injecting, on the pool and outside the exclusive lock: the
+  // injection reads only the pending arena and the immutable population,
+  // and readers never read the exchange state.  On a short epoch or a
+  // duplicate origin this returns the typed kPayloadMismatch and the epoch
+  // does NOT roll — the pending arena stays mutable (short epochs keep
+  // ingesting; duplicates DiscardPending).  Hosted arenas surface
+  // column-map failures here as kIoError, likewise without rolling.
+  Expected<ExchangeResult> sealed =
+      SealExchange(num_users_, &pending_, &exchange_ws_);
+  if (!sealed.ok()) return sealed.status();
 
-  // Exclusive vs accounting readers: the exchange swap below invalidates
-  // what ContextAt/Certify read (rounds restart, fresh holdings).  The
-  // writer-priority gate that kept a continuous query load from starving
-  // this rollover now lives inside ns::SharedMutex::WriterLock.
-  ns::WriterMutexLock structure(&sync_->structure);
-  ++epoch_;
-  // Fresh engine/finalize streams per epoch; epoch 0 keeps seed_ itself so
-  // the one-shot path is bit-identical to the pre-epoch engine.
-  epoch_seed_ = HashCombine(seed_, static_cast<uint64_t>(epoch_));
-  state_ = StartExchange(graph_, std::move(pending_));
-  pending_ = std::move(next_pending);
-  sync_->progress.store(PackProgress(epoch_, 0), std::memory_order_release);
+  // The replaced epoch's state leaves after the exclusive section: its
+  // holdings become the workspace's partner store, its arena is released.
+  ExchangeResult retired = std::move(sealed).value();
+  {
+    // Exclusive vs accounting readers: the epoch and its seed change
+    // together (rounds restart, fresh streams).  The writer-priority gate
+    // that kept a continuous query load from starving this rollover lives
+    // inside ns::SharedMutex::WriterLock.  Only O(1) swaps run here.
+    ns::WriterMutexLock structure(&sync_->structure);
+    ++epoch_;
+    // Fresh engine/finalize streams per epoch; epoch 0 keeps seed_ itself
+    // so the one-shot path is bit-identical to the pre-epoch engine.
+    epoch_seed_ = HashCombine(seed_, static_cast<uint64_t>(epoch_));
+    std::swap(state_, retired);
+    pending_ = std::move(next_pending);
+    sync_->progress.store(PackProgress(epoch_, 0), std::memory_order_release);
+  }
+  exchange_ws_.Recycle(std::move(retired.holdings));
   return Status::Ok();
 }
 
@@ -364,26 +392,30 @@ Status Session::Rewire(Graph graph) {
   // readers keep answering against the old topology until the O(1) swap.
   // Validation's estimate is the one adopted.
   SpectralGapEstimate new_spectral;
-  const Status status = ValidateWith(probe, &new_spectral);
+  const Status status = ValidateWith(probe, &new_spectral, nullptr);
   if (!status.ok()) return status;
   const double new_sss = StationarySumSquares(probe.graph());
   const size_t new_mixing =
       MixingTime(new_spectral.gap, probe.graph().num_nodes());
 
-  // Exclusive vs accounting readers, who read every field swapped here
-  // (writer-priority: built into ns::SharedMutex, see BeginEpoch).
-  ns::WriterMutexLock structure(&sync_->structure);
-  graph_ = probe.ReleaseGraph();
-  spectral_ = new_spectral;
-  stationary_sum_squares_ = new_sss;
-  mixing_rounds_ = new_mixing;
-  // A mixing-time rounds policy re-resolves against the new topology; an
-  // explicit SetRounds target is the caller's to keep.
-  if (!rounds_fixed_) target_rounds_ = mixing_rounds_;
-  // The graph changed under the accountant's feet (same member address, so
-  // pointer-keyed caches cannot tell): drop any tracked walk state.
-  ns::MutexLock acct(&sync_->accountant);
-  accountant_->OnTopologyChanged();
+  // The replaced graph is freed after the exclusive section.
+  Graph retired = probe.ReleaseGraph();
+  {
+    // Exclusive vs accounting readers, who read every field swapped here
+    // (writer-priority: built into ns::SharedMutex, see BeginEpoch).
+    ns::WriterMutexLock structure(&sync_->structure);
+    std::swap(graph_, retired);
+    spectral_ = new_spectral;
+    stationary_sum_squares_ = new_sss;
+    mixing_rounds_ = new_mixing;
+    // A mixing-time rounds policy re-resolves against the new topology; an
+    // explicit SetRounds target is the caller's to keep.
+    if (!rounds_fixed_) target_rounds_ = mixing_rounds_;
+    // The graph changed under the accountant's feet (same member address,
+    // so pointer-keyed caches cannot tell): drop any tracked walk state.
+    ns::MutexLock acct(&sync_->accountant);
+    accountant_->OnTopologyChanged();
+  }
   return Status::Ok();
 }
 

@@ -422,7 +422,9 @@ class Session {
   /// ingesting) and replaces the exchange state with a fresh injection of
   /// it: epoch() increments, current_round() restarts at 0, and the new
   /// epoch's engine coins come from streams keyed on (seed, epoch).  The
-  /// previous epoch's holdings are dropped — FinalizeEpoch first.
+  /// previous epoch's holdings are dropped — FinalizeEpoch first.  The seal
+  /// (check and injection, one pool pass) runs before the exclusive lock,
+  /// so readers keep answering against the current epoch during it.
   Status BeginEpoch();
 
   /// Closes out the CURRENT epoch: the curator inbox over its holdings.
@@ -481,15 +483,18 @@ class Session {
 
  private:
   Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
-          const SpectralGapEstimate& spectral);
+          const SpectralGapEstimate& spectral, ExchangeResult state);
 
   /// Validate's checks.  With `estimate` non-null the spectral estimate
   /// always runs, once, and lands there for the caller to adopt (Create,
   /// Rewire); with null it runs only when the mixing-floor check needs it.
   /// Either way an uncertifiable gap on an ergodic-checked graph is
-  /// kSpectralGapUncertified.
+  /// kSpectralGapUncertified.  With `holdings` non-null, configured
+  /// payloads are checked by injecting them there (InjectHoldings), for
+  /// Create to adopt; with null, through a scratch column.
   static Status ValidateWith(const SessionConfig& config,
-                             SpectralGapEstimate* estimate);
+                             SpectralGapEstimate* estimate,
+                             ReportStore* holdings);
 
   /// A fresh pending arena: heap, or hosted on the session's backend.
   /// Stream-file creation on an established backend failing (disk gone

@@ -485,6 +485,8 @@ ExchangeWorkspace::ExchangeWorkspace(ExchangeWorkspace&&) noexcept = default;
 ExchangeWorkspace& ExchangeWorkspace::operator=(ExchangeWorkspace&&) noexcept =
     default;
 
+void ExchangeWorkspace::Recycle(ReportStore store) { next_ = std::move(store); }
+
 size_t ExchangeWorkspace::MemoryBytes() const {
   size_t bytes = next_.MemoryBytes() +
                  (dests_.capacity() + batch_ids_.capacity() +
@@ -513,57 +515,40 @@ ExchangeResult StartExchange(const Graph& g) {
 }
 
 ExchangeResult StartExchange(const Graph& g, PayloadArena payloads) {
-  const size_t n = g.num_nodes();
-  if (payloads.num_reports() != n) {
-    NETSHUFFLE_FATAL("StartExchange: arena holds " +
-                     std::to_string(payloads.num_reports()) +
-                     " reports for " + std::to_string(n) +
-                     " users (the protocol injects exactly one per user)");
+  Expected<ExchangeResult> sealed = SealExchange(g.num_nodes(), &payloads);
+  if (!sealed.ok()) {
+    NETSHUFFLE_FATAL("StartExchange: " + sealed.status().ToString());
   }
-  payloads.Freeze();
+  return std::move(sealed).value();
+}
 
-  ExchangeResult result;
-  ReportStore& store = result.holdings;
+Status InjectHoldings(const PayloadArena& payloads, size_t num_users,
+                      ReportStore* holdings) {
   // A file-backed arena puts the routing columns on the same backend: the
   // exchange over 10^7+ users keeps RAM for the graph and scratch, not the
-  // population's state (DESIGN.md §9).
-  if (std::shared_ptr<StorageBackend> backend = payloads.backend()) {
-    store.Host(backend, "route");
+  // population's state (DESIGN.md §9).  A reused store moves to the
+  // arena's backing first; matched states cost one branch.
+  const std::shared_ptr<StorageBackend> backend = payloads.backend();
+  if (holdings->hosted() && holdings->backend() != backend) {
+    holdings->Unhost();
   }
-  store.AllocateFor(n, n);
-  // One report per user makes injection a permutation: user u's slice is
-  // slot u, and report r lands in slot origin(r).  Every slot starts at a
-  // sentinel, so a report finding its origin's slot taken has a repeated
-  // origin; n reports in range with none repeated claim every slot once.
-  constexpr ReportId kUnclaimed = ~ReportId{0};
-  uint32_t* offsets = store.mutable_offsets();
-  ReportId* arena = store.mutable_arena();
-  std::fill(arena, arena + n, kUnclaimed);
-  for (ReportId r = 0; r < static_cast<ReportId>(n); ++r) {
-    offsets[r] = r;
-    const NodeId o = payloads.origin(r);
-    if (static_cast<size_t>(o) >= n) {
-      NETSHUFFLE_FATAL("StartExchange: report " + std::to_string(r) +
-                       " has origin " + std::to_string(o) + " outside the " +
-                       std::to_string(n) + "-user population");
-    }
-    if (arena[o] != kUnclaimed) {
-      // With exactly n reports, a user injecting twice implies another
-      // injects none — a double eps0 spend the accountants cannot see
-      // (Session::Validate reports the same condition as a typed
-      // kPayloadMismatch first).
-      NETSHUFFLE_FATAL("StartExchange: origin " + std::to_string(o) +
-                       " injects reports " + std::to_string(arena[o]) +
-                       " and " + std::to_string(r) +
-                       "; the protocol is one report per user");
-    }
-    arena[o] = r;
-  }
-  // ns-lint: allow(narrow32): n is checked by AllocateFor above.
-  offsets[n] = static_cast<uint32_t>(n);
+  if (backend != nullptr) holdings->Host(backend, "route");
+  holdings->AllocateFor(num_users, num_users);
+  return payloads.InjectOnePerUser(num_users, holdings->mutable_arena(),
+                                   holdings->mutable_offsets());
+}
 
+Expected<ExchangeResult> SealExchange(size_t num_users, PayloadArena* payloads,
+                                      ExchangeWorkspace* workspace) {
+  ExchangeResult result;
+  ReportStore* holdings =
+      workspace != nullptr ? &workspace->next_ : &result.holdings;
+  const Status injected = InjectHoldings(*payloads, num_users, holdings);
+  if (!injected.ok()) return injected;
+  if (workspace != nullptr) result.holdings.SwapWith(&workspace->next_);
+  payloads->Freeze();
   result.payloads =
-      std::make_shared<const PayloadArena>(std::move(payloads));
+      std::make_shared<const PayloadArena>(std::move(*payloads));
   return result;
 }
 

@@ -118,6 +118,8 @@ struct PartScratch;  // shuffle/engine.cc
 ExchangeResult ResumeExchange(const Graph& g, ExchangeResult prior,
                               const ExchangeOptions& options,
                               ExchangeWorkspace* workspace);
+Expected<ExchangeResult> SealExchange(size_t num_users, PayloadArena* payloads,
+                                      ExchangeWorkspace* workspace);
 
 /// Reusable scratch for ResumeExchange (DESIGN.md §4e): the double-buffer
 /// partner store plus the per-round routing tables — destination column,
@@ -148,10 +150,18 @@ class ExchangeWorkspace {
   /// than one part, and the 4 B/user counting row).
   size_t MemoryBytes() const;
 
+  /// Adopts `store`'s buffers as the double-buffer partner (their contents
+  /// are scratch).  A serving loop hands each retired epoch's holdings back
+  /// here, so the next epoch's rounds and its seal (SealExchange) reuse
+  /// them instead of allocating n-sized columns.
+  void Recycle(ReportStore store);
+
  private:
   friend ExchangeResult ResumeExchange(const Graph&, ExchangeResult,
                                        const ExchangeOptions&,
                                        ExchangeWorkspace*);
+  friend Expected<ExchangeResult> SealExchange(size_t, PayloadArena*,
+                                               ExchangeWorkspace*);
 
   ReportStore next_;              // double-buffer scatter partner
   std::vector<uint32_t> dests_;   // per-slot destination
@@ -178,13 +188,35 @@ Status ValidateExchangeOptions(const ExchangeOptions& options);
 /// an exchange.  Advance the returned state with ResumeExchange.
 ExchangeResult StartExchange(const Graph& g);
 
-/// Injection over an explicit payload arena: freezes it, then hands each
-/// report id to its origin (holdings[u] = {the id with origin(id) == u}).
-/// The protocol injects exactly one report per user, so the arena must hold
-/// g.num_nodes() reports whose origins are the users, each once — fatal
-/// otherwise (Session::Validate surfaces the same condition as a typed
+/// Injection over an explicit payload arena: SealExchange, fatal where that
+/// returns an error.  The protocol injects exactly one report per user, so
+/// the arena must hold g.num_nodes() reports whose origins are the users,
+/// each once (Session::Validate surfaces the same condition as a typed
 /// kPayloadMismatch first).
 ExchangeResult StartExchange(const Graph& g, PayloadArena payloads);
+
+/// The seal point of an epoch (DESIGN.md §8): injects `*payloads` as round 0
+/// of an exchange over `num_users` users, checking the one-report-per-user
+/// invariant in the same pool pass (PayloadArena::InjectOnePerUser), and on
+/// success freezes the arena and moves it into the result — holdings[u] is
+/// {the id with origin(id) == u}, and *payloads is left moved-from.  On a
+/// violation returns the typed kPayloadMismatch (kIoError for a hosted
+/// arena whose columns cannot be mapped) and leaves *payloads untouched
+/// and mutable, so a short epoch can keep ingesting and re-seal.
+///
+/// With a workspace the holdings are injected into its double-buffer
+/// partner and taken from it (ExchangeWorkspace::Recycle gives a store
+/// back), so a serving loop seals without allocating; the result is the
+/// same either way.
+Expected<ExchangeResult> SealExchange(size_t num_users, PayloadArena* payloads,
+                                      ExchangeWorkspace* workspace = nullptr);
+
+/// SealExchange's holdings half, for a caller that keeps the arena where it
+/// is until the check passes (Session::Create validates its configuration
+/// this way): sizes `holdings` for num_users users — on the arena's backend
+/// when it is hosted — and injects into it.  Never freezes.
+Status InjectHoldings(const PayloadArena& payloads, size_t num_users,
+                      ReportStore* holdings);
 
 /// Advances `prior` (from StartExchange or a previous call) by
 /// options.rounds further rounds.  options.first_round must equal

@@ -146,10 +146,11 @@ class PayloadArena {
   }
 
   /// Seals the arena: further appends are fatal.  Injection
-  /// (StartExchange) freezes unconditionally, so the routed ids always
-  /// reference immutable rows.  Hosted arenas map their column files
-  /// read-only here; a map failure at this point (mid-injection, no caller
-  /// that can recover) is fatal — the typed-error seal point is Seal().
+  /// (StartExchange, SealExchange) freezes once the arena is injected, so
+  /// the routed ids always reference immutable rows.  Hosted arenas map
+  /// their column files read-only here; a map failure at this point (no
+  /// caller that can recover) is fatal — the typed surface is
+  /// InjectOnePerUser, which maps them first.
   void Freeze() {
     if (hosted_) {
       const Status mapped = hosted_->EnsureMapped();
@@ -161,55 +162,37 @@ class PayloadArena {
   }
   bool frozen() const { return frozen_; }
 
-  /// The one-report-per-user protocol invariant, checked without freezing:
-  /// exactly `num_users` reports, every origin inside the population, no
-  /// origin twice (a duplicated origin means one user spends its eps0
-  /// budget twice and another spends none — every accountant assumes one
-  /// report per user, so the certified epsilon would silently be wrong).
-  /// Returns a typed kPayloadMismatch describing the first violation.
-  /// Session::Validate applies it to config-supplied arenas; Seal applies
-  /// it to each serving epoch's streamed ingest.
-  Status ValidateOnePerUser(size_t num_users) const {
-    if (hosted_) {
-      const Status mapped = hosted_->EnsureMapped();
-      if (!mapped.ok()) return mapped;
-    }
-    if (num_reports() != num_users) {
-      return Status::Error(
-          StatusCode::kPayloadMismatch,
-          "the payload arena holds " + std::to_string(num_reports()) +
-              " reports for " + std::to_string(num_users) +
-              " users; the protocol injects exactly one report per user");
-    }
-    const NodeId* origins = hosted_ ? hosted_->origins() : origins_.data();
-    std::vector<bool> seen(num_users, false);
-    for (ReportId r = 0; r < static_cast<ReportId>(num_users); ++r) {
-      const NodeId o = origins[r];
-      if (static_cast<size_t>(o) >= num_users) {
-        return Status::Error(
-            StatusCode::kPayloadMismatch,
-            "report " + std::to_string(r) + " has origin " +
-                std::to_string(o) + " outside the " +
-                std::to_string(num_users) + "-user population");
-      }
-      if (seen[o]) {
-        return Status::Error(
-            StatusCode::kPayloadMismatch,
-            "origin " + std::to_string(o) + " injects more than one report; "
-                "the protocol (and its accounting) is one report per user");
-      }
-      seen[o] = true;
-    }
-    return Status::Ok();
-  }
+  /// The one-report-per-user protocol invariant, checked while injecting
+  /// (DESIGN.md §8): exactly `num_users` reports, every origin inside the
+  /// population, no origin twice (a duplicated origin means one user spends
+  /// its eps0 budget twice and another spends none — every accountant
+  /// assumes one report per user, so the certified epsilon would silently
+  /// be wrong).  Writes report r into slots[origin(r)] and, with `offsets`
+  /// non-null, the one-report CSR offsets[u] = u for u in [0, num_users].
+  /// `slots` needs num_users entries, `offsets` num_users + 1.
+  ///
+  /// Runs on the pool above a size cutoff: each part owns a contiguous slot
+  /// range, scans every report and writes only its own slots, so the
+  /// columns are identical at any width.  Returns a typed kPayloadMismatch
+  /// naming the first violation in report order (the one a serial scan
+  /// meets first), leaving the columns' contents unspecified; a hosted
+  /// arena that cannot map its columns is kIoError.  Never freezes.
+  /// Defined in shuffle/payload.cc.
+  Status InjectOnePerUser(size_t num_users, ReportId* slots,
+                          uint32_t* offsets) const;
 
-  /// The per-epoch seal point of the serving lifecycle (DESIGN.md §8):
-  /// validates the one-report-per-user invariant and, only if it holds,
+  /// The same check without a destination: InjectOnePerUser into a scratch
+  /// column.  Session::Validate applies it to config-supplied arenas.
+  Status ValidateOnePerUser(size_t num_users) const;
+
+  /// Validates the one-report-per-user invariant and, only if it holds,
   /// freezes the arena.  On violation the arena stays MUTABLE, so a
   /// streaming producer can append the missing reports and re-seal (a
   /// duplicated origin, however, cannot be retracted — discard the arena).
   /// Hosted arenas surface map failures here as kIoError, also without
   /// freezing — the stream stays appendable and a later re-Seal retries.
+  /// The serving seal point (Session::BeginEpoch) does not call this: it
+  /// seals by injecting once, through SealExchange (shuffle/engine.h).
   Status Seal(size_t num_users) {
     const Status status = ValidateOnePerUser(num_users);
     if (status.ok()) frozen_ = true;
@@ -307,7 +290,7 @@ class PayloadArena {
   /// Read-side access to a hosted arena maps lazily: a read between Append
   /// and Seal flushes + maps, and a later Append drops the mappings and
   /// keeps streaming.  A map failure on a read path has no recovering
-  /// caller, so it is fatal (the typed surface is Seal / ValidateOnePerUser).
+  /// caller, so it is fatal (the typed surface is InjectOnePerUser).
   const PayloadStream* Mapped(const char* op) const {
     const Status mapped = hosted_->EnsureMapped();
     if (!mapped.ok()) {

@@ -25,6 +25,20 @@ using Bytes = std::vector<uint8_t>;
 /// report's origin and payload bytes.
 using ReportId = uint32_t;
 
+/// The pool cutoff of the epoch-boundary passes over reports
+/// (PayloadArena::InjectOnePerUser, Server::ReceiveAll).  A part must hold
+/// at least this many reports to repay its dispatch and, in the injection,
+/// its scan of every report, so smaller inputs run in one part on the
+/// calling thread.
+constexpr size_t kMinReportsPerScanPart = size_t{1} << 16;
+
+/// The part count of such a pass over `reports` reports on a pool of
+/// `width` threads: one part per thread, at least one part.
+inline size_t ScanParts(size_t width, size_t reports) {
+  const size_t parts = reports / kMinReportsPerScanPart;
+  return parts < 1 ? 1 : (parts < width ? parts : width);
+}
+
 class PayloadArena;
 
 /// How users submit to the curator after the exchange rounds:

@@ -3,9 +3,11 @@
 //
 // Coverage is tracked incrementally on ingest — a persistent seen-origin
 // bitmap updated per received report — so PayloadCoverage() is O(1) instead
-// of re-scanning the inbox with a fresh O(n) bitmap per call.  Reports whose
-// origin lies outside the expected population are counted in
-// invalid_origin_count() instead of silently vanishing from the statistics.
+// of re-scanning the inbox with a fresh O(n) bitmap per call.  ReceiveAll
+// updates it on the pool above a size cutoff, with counts equal to a
+// Receive loop's.  Reports whose origin lies outside the expected
+// population are counted in invalid_origin_count() instead of silently
+// vanishing from the statistics.
 //
 // A serving deployment (DESIGN.md §8) receives one inbox PER EPOCH:
 // BeginEpoch() archives the finished epoch's counters into epochs_received()
@@ -16,7 +18,7 @@
 #define NETSHUFFLE_SHUFFLE_SERVER_H_
 
 #include <cstddef>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "shuffle/protocol.h"
@@ -26,7 +28,7 @@ namespace netshuffle {
 class Server {
  public:
   explicit Server(size_t expected_users)
-      : expected_users_(expected_users), seen_(expected_users, false) {}
+      : expected_users_(expected_users), seen_(Words(expected_users), 0) {}
 
   /// Single-report ingestion; prefer ReceiveAll for whole inboxes.
   void Receive(FinalReport fr) {
@@ -35,15 +37,12 @@ class Server {
   }
 
   /// Batched ingestion of a finalized inbox: one coverage pass plus a single
-  /// move/append, instead of n push_back calls.
-  void ReceiveAll(std::vector<FinalReport> frs) {
-    for (const FinalReport& fr : frs) Observe(fr);
-    if (inbox_.empty()) {
-      inbox_ = std::move(frs);
-    } else {
-      inbox_.insert(inbox_.end(), frs.begin(), frs.end());
-    }
-  }
+  /// move/append, instead of n push_back calls.  The coverage pass runs on
+  /// the pool when the batch is large enough; its distinct and invalid
+  /// counts equal those of a Receive loop over the same reports, and a
+  /// batch smaller than the population's bitmap takes that loop, so no
+  /// batch pays a pass over the population.  Defined in shuffle/server.cc.
+  void ReceiveAll(std::vector<FinalReport> frs);
 
   size_t num_received() const { return inbox_.size(); }
   const std::vector<FinalReport>& inbox() const { return inbox_; }
@@ -83,7 +82,7 @@ class Server {
     stats.coverage = PayloadCoverage();
     epochs_.push_back(stats);
     inbox_.clear();
-    seen_.assign(expected_users_, false);
+    seen_.assign(Words(expected_users_), 0);
     distinct_origins_ = 0;
     invalid_origin_count_ = 0;
   }
@@ -93,20 +92,28 @@ class Server {
   const std::vector<EpochStats>& epochs_received() const { return epochs_; }
 
  private:
+  static size_t Words(size_t users) { return (users + 63) / 64; }
+
   void Observe(const FinalReport& fr) {
     const size_t o = static_cast<size_t>(fr.origin);
     if (o >= expected_users_) {
       ++invalid_origin_count_;
       return;
     }
-    if (!seen_[o]) {
-      seen_[o] = true;
+    const uint64_t bit = uint64_t{1} << (o % 64);
+    if ((seen_[o / 64] & bit) == 0) {
+      seen_[o / 64] |= bit;
       ++distinct_origins_;
     }
   }
 
   size_t expected_users_;
-  std::vector<bool> seen_;  // origin -> already counted in distinct_origins_
+  // Bit o % 64 of word o / 64: origin o is already counted in
+  // distinct_origins_.  Words, so ReceiveAll's parts can own disjoint ones.
+  std::vector<uint64_t> seen_;
+  // ReceiveAll's per-part bitmaps (parts x seen_.size() words), kept so
+  // batches reuse their capacity.
+  std::vector<uint64_t> marks_;
   size_t distinct_origins_ = 0;
   size_t invalid_origin_count_ = 0;
   std::vector<FinalReport> inbox_;

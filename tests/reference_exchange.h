@@ -1,8 +1,8 @@
 // The one reference oracle every differential test pins the exchange
 // engine against (tests/test_kernel_differential.cc, test_flat_store.cc,
 // and test_engine.cc for the traffic observer): a naive scalar
-// implementation of the protocol's round schedule and of its finalize
-// step, plus the patterned
+// implementation of the protocol's injection, of its round schedule and
+// of its finalize step, plus the patterned
 // payloads, the round-by-round observed run and the element-by-element
 // comparisons the tests share.
 //
@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -68,6 +69,61 @@ inline PayloadArena PatternArena(
     CHECK(arena.Append(u, PatternPayload(u)) == u);
   }
   return arena;
+}
+
+/// One row per entry of `origins`: report r has origin origins[r] and
+/// PatternPayload(origins[r])'s bytes, heap or file-backed like
+/// PatternArena.  Origins may repeat or fall outside any population.
+inline PayloadArena ArenaFromOrigins(
+    const std::vector<NodeId>& origins,
+    const std::shared_ptr<StorageBackend>& backend = nullptr) {
+  PayloadArena arena;
+  if (backend != nullptr) {
+    netshuffle::Expected<PayloadArena> hosted =
+        PayloadArena::Hosted(backend);
+    CHECK(hosted.ok());
+    arena = std::move(hosted).value();
+  }
+  for (const NodeId o : origins) arena.Append(o, PatternPayload(o));
+  return arena;
+}
+
+/// The serial seal every PayloadArena::InjectOnePerUser is pinned against:
+/// the report count first, then one pass over the reports in order with a
+/// seen-origin bitmap, writing report r into (*slots)[origin(r)] and
+/// stopping at the first origin outside the population or seen before.
+/// The messages are the typed errors' exact text.
+inline netshuffle::Status ReferenceInject(const PayloadArena& arena, size_t n,
+                                          std::vector<ReportId>* slots) {
+  using netshuffle::Status;
+  using netshuffle::StatusCode;
+  if (arena.num_reports() != n) {
+    return Status::Error(
+        StatusCode::kPayloadMismatch,
+        "the payload arena holds " + std::to_string(arena.num_reports()) +
+            " reports for " + std::to_string(n) +
+            " users; the protocol injects exactly one report per user");
+  }
+  slots->assign(n, 0);
+  std::vector<bool> seen(n, false);
+  for (ReportId r = 0; r < n; ++r) {
+    const NodeId o = arena.origin(r);
+    if (o >= n) {
+      return Status::Error(
+          StatusCode::kPayloadMismatch,
+          "report " + std::to_string(r) + " has origin " + std::to_string(o) +
+              " outside the " + std::to_string(n) + "-user population");
+    }
+    if (seen[o]) {
+      return Status::Error(
+          StatusCode::kPayloadMismatch,
+          "origin " + std::to_string(o) + " injects more than one report; "
+              "the protocol (and its accounting) is one report per user");
+    }
+    seen[o] = true;
+    (*slots)[o] = r;
+  }
+  return Status::Ok();
 }
 
 /// Round 0: every user holds its own report.

@@ -16,7 +16,8 @@
 //     Seal dies, same as the heap arena),
 //   - tmpdir lifetime: a kMmap session's directory outlives the Session
 //     while a Finalize result still references the hosted columns, and is
-//     swept — files and all — when the LAST owner goes away.
+//     swept — files and all — when the LAST owner goes away,
+//   - epoch rolls on a kMmap session serve the heap session's inboxes.
 
 #include <sys/stat.h>
 
@@ -276,6 +277,52 @@ int main() {
     }
     // Last owner released: directory swept, column files and all.
     CHECK(!DirExists(dir));
+  }
+
+  // ---- Epoch rolls on the file tier ---------------------------------------
+  // BeginEpoch seals each epoch into the workspace's partner store, hosted
+  // on the session's backend, and recycles the retired holdings there: a
+  // kMmap session rolling epochs (a short seal rejected on the way) serves
+  // the same inboxes as the heap session.
+  {
+    const auto serve = [](StorageBackendKind kind) {
+      SessionConfig cfg;
+      cfg.SetGraph(MakeCirculant(64, 4)).SetSeed(3);
+      StorageBackendConfig storage;
+      storage.kind = kind;
+      cfg.SetStorage(storage);
+      Session session = Session::Create(std::move(cfg)).value();
+      std::vector<ProtocolResult> inboxes;
+      for (uint8_t epoch = 1; epoch <= 3; ++epoch) {
+        CHECK(session.Step(2).ok());
+        inboxes.push_back(session.FinalizeEpoch());
+        for (NodeId u = 0; u < 63; ++u) {
+          CHECK(session.Ingest(u, Bytes{epoch, static_cast<uint8_t>(u)}).ok());
+        }
+        CHECK(session.BeginEpoch().code() == StatusCode::kPayloadMismatch);
+        CHECK(session.Ingest(63, Bytes{epoch, 63}).ok());
+        CHECK(session.BeginEpoch().ok());
+        CHECK(session.payloads().hosted() ==
+              (kind == StorageBackendKind::kMmap));
+      }
+      CHECK(session.Step(2).ok());
+      inboxes.push_back(session.FinalizeEpoch());
+      return inboxes;
+    };
+    const std::vector<ProtocolResult> heap = serve(StorageBackendKind::kInRam);
+    const std::vector<ProtocolResult> file = serve(StorageBackendKind::kMmap);
+    CHECK(heap.size() == file.size());
+    for (size_t e = 0; e < heap.size(); ++e) {
+      CHECK(heap[e].server_inbox.size() == file[e].server_inbox.size());
+      for (size_t i = 0; i < heap[e].server_inbox.size(); ++i) {
+        const FinalReport& a = heap[e].server_inbox[i];
+        const FinalReport& b = file[e].server_inbox[i];
+        CHECK(a.id == b.id && a.origin == b.origin &&
+              a.final_holder == b.final_holder);
+        CHECK(heap[e].payloads->payload(a.id).ToBytes() ==
+              file[e].payloads->payload(b.id).ToBytes());
+      }
+    }
   }
 
   // The unit-test backend itself sweeps its tmpdir (with the leftover

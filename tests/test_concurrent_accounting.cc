@@ -1,9 +1,11 @@
 // Hammers the reader-safe accounting surface (Guarantee / GuaranteeAt /
 // current_round / epoch) from concurrent threads while a mutator thread
 // Steps, rolls epochs, and rewires — the serving-model concurrency contract
-// of core/session.h.  Run under ThreadSanitizer in CI (NS_SANITIZE=thread)
-// at NS_THREADS=4; any data race or torn (epoch, round) publication fails
-// there, and the monotonicity/consistency checks below fail everywhere.
+// of core/session.h.  One run is large enough that BeginEpoch's seal runs
+// on the pool, outside the exclusive lock, while the readers query.  Run
+// under ThreadSanitizer in CI (NS_SANITIZE=thread) at NS_THREADS=4; any
+// data race or torn (epoch, round) publication fails there, and the
+// monotonicity/consistency checks below fail everywhere.
 
 #include <atomic>
 #include <memory>
@@ -16,6 +18,7 @@
 #include "dp/ldp.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 using namespace netshuffle;
@@ -23,19 +26,21 @@ using namespace netshuffle;
 namespace {
 
 constexpr size_t kUsers = 600;
+// Two scan parts' worth: BeginEpoch injects on a 4-wide pool.
+constexpr size_t kPoolUsers = 2 * kMinReportsPerScanPart + 2;
 constexpr size_t kReaders = 3;
 constexpr size_t kEpochs = 3;
 constexpr size_t kRoundsPerEpoch = 6;
 
-Graph Expander(uint64_t seed) {
+Graph Expander(uint64_t seed, size_t users = kUsers) {
   Rng rng(seed);
-  return MakeRandomRegular(kUsers, 8, &rng);
+  return MakeRandomRegular(users, 8, &rng);
 }
 
 void FillEpoch(Session* session, uint64_t seed) {
   KRandomizedResponse rr(8, 1.0);
   Rng rng(seed);
-  for (size_t u = 0; u < kUsers; ++u) {
+  for (size_t u = 0; u < session->num_users(); ++u) {
     rr.EmitReport(static_cast<NodeId>(u),
                   static_cast<uint32_t>(rng.UniformInt(8)), &rng,
                   session->pending_arena());
@@ -72,9 +77,10 @@ void ReaderLoop(const Session& session, std::atomic<bool>* stop,
 /// One full serving run: kEpochs rollovers with kRoundsPerEpoch steps each,
 /// readers hammering throughout.  `churn` adds a Rewire per rollover (the
 /// exclusive-writer path readers must survive).
-void ServeUnderReaders(std::shared_ptr<Accountant> accountant, bool churn) {
+void ServeUnderReaders(std::shared_ptr<Accountant> accountant, bool churn,
+                       size_t users = kUsers) {
   SessionConfig config;
-  config.SetGraph(Expander(7)).SetEpsilon0(1.0).SetSeed(99);
+  config.SetGraph(Expander(7, users)).SetEpsilon0(1.0).SetSeed(99);
   if (accountant != nullptr) config.SetAccountant(std::move(accountant));
   Session session = Session::Create(std::move(config)).value();
 
@@ -97,9 +103,9 @@ void ServeUnderReaders(std::shared_ptr<Accountant> accountant, bool churn) {
     }
     CHECK(session.current_round() == kRoundsPerEpoch);
     const ProtocolResult inbox = session.FinalizeEpoch();
-    CHECK(inbox.server_inbox.size() == kUsers);
+    CHECK(inbox.server_inbox.size() == users);
     FillEpoch(&session, 1000 + epoch);
-    if (churn) CHECK(session.Rewire(Expander(graph_seed++)).ok());
+    if (churn) CHECK(session.Rewire(Expander(graph_seed++, users)).ok());
     CHECK(session.BeginEpoch().ok());
     CHECK(session.epoch() == epoch + 1);
     CHECK(session.current_round() == 0);
@@ -126,6 +132,12 @@ int main() {
                     /*churn=*/false);
   ServeUnderReaders(std::make_shared<SymmetricExactAccountant>(),
                     /*churn=*/true);
+
+  // Pool-sized epochs: each BeginEpoch's injection runs on four threads
+  // while the readers query Guarantee against the epoch it replaces.
+  SetThreadCount(4);
+  ServeUnderReaders(nullptr, /*churn=*/false, kPoolUsers);
+  SetThreadCount(0);
 
   // Deterministic results are unaffected by concurrent readers: the same
   // serving schedule with and without load certifies identical numbers.

@@ -37,6 +37,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -115,6 +116,50 @@ void RunCase(const char* name, const Graph& g, size_t rounds, uint64_t seed,
               faults != nullptr ? "yes" : "no");
 }
 
+// SealExchange, with and without a recycled workspace store, and
+// ValidateOnePerUser against the serial oracle at every width: the same
+// status code and message, and on success the same store (report r in slot
+// origin(r), offsets[u] == u).  A failed seal leaves the arena mutable.
+void CheckInjection(const char* name, const PayloadArena& arena, size_t n,
+                    ExchangeWorkspace* ws) {
+  std::vector<ReportId> slots;
+  const Status ref = ReferenceInject(arena, n, &slots);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                         size_t{33}}) {
+    SetThreadCount(threads);
+    const Status validated = arena.ValidateOnePerUser(n);
+    CHECK(validated.code() == ref.code());
+    CHECK(validated.message() == ref.message());
+    for (ExchangeWorkspace* workspace :
+         {static_cast<ExchangeWorkspace*>(nullptr), ws}) {
+      PayloadArena pending = arena;
+      Expected<ExchangeResult> sealed = SealExchange(n, &pending, workspace);
+      CHECK(sealed.ok() == ref.ok());
+      if (!ref.ok()) {
+        CHECK(sealed.status().code() == ref.code());
+        CHECK(sealed.status().message() == ref.message());
+        CHECK(!pending.frozen());
+        CHECK(pending.num_reports() == arena.num_reports());
+        continue;
+      }
+      ExchangeResult state = std::move(sealed).value();
+      CHECK(state.rounds == 0);
+      CHECK(state.payloads->frozen());
+      const ReportStore& store = state.holdings;
+      CHECK(store.num_users() == n && store.num_reports() == n);
+      for (size_t u = 0; u < n; ++u) {
+        CHECK(store.offsets_data()[u] == u);
+        CHECK(store.arena_data()[u] == slots[u]);
+      }
+      CHECK(store.offsets_data()[n] == n);
+      if (workspace != nullptr) workspace->Recycle(std::move(state.holdings));
+    }
+  }
+  SetThreadCount(0);
+  std::printf("ok: inject %s (%s)\n", name,
+              ref.ok() ? "valid" : ref.message().c_str());
+}
+
 }  // namespace
 
 int main() {
@@ -130,6 +175,58 @@ int main() {
   const std::shared_ptr<StorageBackend>& backend = be.value();
   const LazyFaultModel lazy(0.3);
   Rng meta(20220607);
+
+  // Injection (PayloadArena::InjectOnePerUser) on five parts' worth of
+  // reports, so every width above 1 splits the slots: ascending and
+  // shuffled arrival, a duplicate at the first, middle and last report,
+  // origins past the population (the largest NodeId included), two
+  // violations in either order, and short and long arenas.  Heap arenas,
+  // and a hosted one per arrival order.
+  {
+    const size_t n = 5 * kMinReportsPerScanPart + 17;
+    for (const bool shuffled : {false, true}) {
+      std::vector<NodeId> base(n);
+      for (size_t u = 0; u < n; ++u) base[u] = static_cast<NodeId>(u);
+      if (shuffled) {
+        Rng perm(20221021);
+        for (size_t i = n - 1; i > 0; --i) {
+          std::swap(base[i], base[perm.UniformInt(i + 1)]);
+        }
+      }
+      // Report k takes the origin of report (k + 1) % n.
+      const auto dup = [&](std::vector<NodeId> o, size_t k) {
+        o[k] = o[(k + 1) % n];
+        return o;
+      };
+      const auto past = [&](std::vector<NodeId> o, size_t k, NodeId origin) {
+        o[k] = origin;
+        return o;
+      };
+      std::vector<NodeId> shorter(base.begin(), base.end() - 1);
+      std::vector<NodeId> longer = base;
+      longer.push_back(0);
+      const std::vector<std::pair<const char*, std::vector<NodeId>>> cases = {
+          {"valid", base},
+          {"dup-first", dup(base, 0)},
+          {"dup-middle", dup(base, n / 2)},
+          {"dup-last", dup(base, n - 1)},
+          {"past-middle", past(base, n / 2, static_cast<NodeId>(n))},
+          {"past-last", past(base, n - 1, ~NodeId{0})},
+          {"past-then-dup", dup(past(base, n / 4, static_cast<NodeId>(n + 7)),
+                                3 * n / 4)},
+          {"dup-then-past", past(dup(base, n / 4), 3 * n / 4,
+                                 static_cast<NodeId>(n + 7))},
+          {"short", shorter},
+          {"long", longer},
+      };
+      for (const auto& [name, origins] : cases) {
+        CheckInjection(name, ArenaFromOrigins(origins), n, &ws);
+      }
+      CheckInjection("hosted-valid", ArenaFromOrigins(base, backend), n, &ws);
+      CheckInjection("hosted-dup-middle",
+                     ArenaFromOrigins(dup(base, n / 2), backend), n, &ws);
+    }
+  }
 
   // k-regular: degree classes 2/4/8/16 take the pow2 shift path, 3/20 the
   // general multiply-shift path.  Randomized n per degree.

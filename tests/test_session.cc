@@ -20,6 +20,7 @@
 #include "graph/spectral.h"
 #include "graph/walk.h"
 #include "tests/test_util.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 using namespace netshuffle;
@@ -453,6 +454,92 @@ int main() {
       }
     }
     CHECK(any_diff);
+  }
+
+  // ---- A seal that fails on the pool leaves the epoch as it was ----------
+  // Two scan parts' worth of users, so at width 4 the injection runs on the
+  // pool, outside the exclusive lock, into the workspace's partner store.
+  // A short epoch and a duplicated origin both fail with the typed error;
+  // the epoch, its round, its guarantee and its holdings are untouched,
+  // and the short epoch, patched by one more append, then seals.
+  {
+    const size_t n = 2 * kMinReportsPerScanPart + 2;
+    SetThreadCount(4);
+    KRandomizedResponse rr(8, 1.0);
+    const auto fill = [&](Session* s, uint64_t seed, size_t count) {
+      Rng rng(seed);
+      for (size_t u = 0; u < count; ++u) {
+        rr.EmitReport(static_cast<NodeId>(u),
+                      static_cast<uint32_t>(rng.UniformInt(8)), &rng,
+                      s->pending_arena());
+      }
+    };
+    SessionConfig cfg;
+    cfg.SetGraph(SmallExpander(n, 4, 19)).SetMechanism(rr).SetSeed(5);
+    Session s = Session::Create(std::move(cfg)).value();
+    fill(&s, 1, n);
+    CHECK(s.BeginEpoch().ok());
+    CHECK(s.Step(3).ok());
+    const PrivacyParams before = s.Guarantee();
+    const ProtocolResult inbox = s.FinalizeEpoch();
+    const auto unchanged = [&] {
+      CHECK(s.epoch() == 1);
+      CHECK(s.current_round() == 3);
+      CHECK(s.Guarantee().epsilon == before.epsilon);
+      CHECK(s.Guarantee().delta == before.delta);
+      const ProtocolResult again = s.FinalizeEpoch();
+      CHECK(again.server_inbox.size() == inbox.server_inbox.size());
+      for (size_t i = 0; i < inbox.server_inbox.size(); ++i) {
+        CHECK(again.server_inbox[i].id == inbox.server_inbox[i].id);
+        CHECK(again.server_inbox[i].final_holder ==
+              inbox.server_inbox[i].final_holder);
+      }
+    };
+
+    fill(&s, 2, n - 1);
+    const Status short_epoch = s.BeginEpoch();
+    CHECK(short_epoch.code() == StatusCode::kPayloadMismatch);
+    CHECK(short_epoch.message() ==
+          "the payload arena holds " + std::to_string(n - 1) +
+              " reports for " + std::to_string(n) +
+              " users; the protocol injects exactly one report per user");
+    unchanged();
+    Rng patch(3);
+    rr.EmitReport(static_cast<NodeId>(n - 1), 4, &patch, s.pending_arena());
+    CHECK(s.pending_reports() == n);
+    CHECK(s.BeginEpoch().ok());
+    CHECK(s.epoch() == 2);
+    CHECK(s.current_round() == 0);
+
+    // A duplicated origin, on a twin stepped to the same point: the failed
+    // seal leaves its epoch-1 holdings equal to the first session's.
+    SessionConfig twin_cfg;
+    twin_cfg.SetGraph(SmallExpander(n, 4, 19)).SetMechanism(rr).SetSeed(5);
+    Session twin = Session::Create(std::move(twin_cfg)).value();
+    fill(&twin, 1, n);
+    CHECK(twin.BeginEpoch().ok());
+    CHECK(twin.Step(3).ok());
+    fill(&twin, 4, n - 1);  // user n - 1 missing, user n / 2 twice
+    Rng dup_rng(5);
+    rr.EmitReport(static_cast<NodeId>(n / 2), 1, &dup_rng,
+                  twin.pending_arena());
+    const Status dup = twin.BeginEpoch();
+    CHECK(dup.code() == StatusCode::kPayloadMismatch);
+    CHECK(dup.message() == "origin " + std::to_string(n / 2) +
+                               " injects more than one report; the protocol "
+                               "(and its accounting) is one report per user");
+    CHECK(twin.epoch() == 1);
+    CHECK(twin.current_round() == 3);
+    CHECK(twin.Guarantee().epsilon == before.epsilon);
+    const ProtocolResult twin_inbox = twin.FinalizeEpoch();
+    for (size_t i = 0; i < inbox.server_inbox.size(); ++i) {
+      CHECK(twin_inbox.server_inbox[i].id == inbox.server_inbox[i].id);
+    }
+    twin.DiscardPending();
+    fill(&twin, 4, n);
+    CHECK(twin.BeginEpoch().ok());
+    CHECK(twin.epoch() == 2);
+    SetThreadCount(0);
   }
 
   // ---- Early stopping -----------------------------------------------------

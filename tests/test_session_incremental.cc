@@ -188,12 +188,50 @@ void CheckSteadyStateStepsAllocationFree(size_t threads) {
   CHECK(g_alloc_bytes.load() < 4096);
 }
 
+// Epoch rolls reuse the retired holdings: BeginEpoch seals into the
+// workspace's partner store and hands the replaced epoch's holdings back to
+// it (ExchangeWorkspace::Recycle), so once a session has rolled and
+// stepped, neither a roll nor the round after it allocates an n-sized
+// column.  At width 4 the
+// population is two scan parts' worth, so the seal runs on the pool.
+void CheckSteadyStateRollAllocationFree(size_t threads) {
+  SetThreadCount(threads);
+  const size_t n = 2 * kMinReportsPerScanPart + 2;
+  Rng rng(78);
+  SessionConfig config;
+  config.SetGraph(MakeRandomRegular(n, 4, &rng)).SetRounds(64).SetSeed(6);
+  Expected<Session> created = Session::Create(std::move(config));
+  CHECK(created.ok());
+  Session session = std::move(created).value();
+  const auto fill = [&] {
+    for (size_t u = 0; u < n; ++u) {
+      session.pending_arena()->AppendBucket(static_cast<NodeId>(u),
+                                            static_cast<uint32_t>(u % 8));
+    }
+  };
+  fill();
+  CHECK(session.BeginEpoch().ok());
+  CHECK(session.Step(2).ok());
+  fill();
+
+  // The roll and the new epoch's first round: a partner store that the
+  // seal took and nothing gave back would be re-allocated by the Step.
+  g_alloc_bytes.store(0);
+  g_count_allocs.store(true);
+  CHECK(session.BeginEpoch().ok());
+  CHECK(session.Step(1).ok());
+  g_count_allocs.store(false);
+  CHECK(g_alloc_bytes.load() < 4096);
+  CHECK(session.epoch() == 2);
+}
+
 }  // namespace
 
 int main() {
   const Graph g = TestGraph();
   for (size_t threads : {size_t{1}, size_t{4}}) {
     CheckSteadyStateStepsAllocationFree(threads);
+    CheckSteadyStateRollAllocationFree(threads);
   }
 
   // The thread count must not change a single bit of any of this (the CI
