@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "shuffle/pki.h"
 #include "shuffle/protocol.h"
 #include "shuffle/server.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace netshuffle {
@@ -101,8 +103,9 @@ void BM_FinalizeSingle(benchmark::State& state) {
 }
 BENCHMARK(BM_FinalizeSingle)->Unit(benchmark::kMillisecond);
 
-// The epoch seal alone (the check + injection of Session::BeginEpoch), on
-// cold-certify's population: n = 5e5 four-byte k-RR reports arriving in
+// The epoch seal alone (the check + injection of Session::BeginEpoch): n
+// four-byte k-RR reports (third range; 5e5 is cold-certify's population,
+// 1e5 and 2e5 straddle the pool cutoff kMinReportsPerScanPart) arriving in
 // ascending user order (first range 0, how perfbench ingests) or in a
 // fixed random order (1).  Second range 1 seals into a workspace whose
 // partner store is handed back after each seal, as a serving Session does;
@@ -111,39 +114,44 @@ BENCHMARK(BM_FinalizeSingle)->Unit(benchmark::kMillisecond);
 // timed.
 constexpr size_t kSealUsers = 500000;
 
-PayloadArena MakeSealInput(bool shuffled) {
-  std::vector<NodeId> origins(kSealUsers);
-  for (size_t u = 0; u < kSealUsers; ++u) origins[u] = static_cast<NodeId>(u);
+std::vector<NodeId> Origins(size_t n, bool shuffled) {
+  std::vector<NodeId> origins(n);
+  for (size_t u = 0; u < n; ++u) origins[u] = static_cast<NodeId>(u);
   if (shuffled) {
     Rng rng(7);
-    for (size_t i = kSealUsers - 1; i > 0; --i) {
+    for (size_t i = n - 1; i > 0; --i) {
       std::swap(origins[i], origins[rng.UniformInt(i + 1)]);
     }
   }
-  PayloadArena arena;
-  arena.Reserve(kSealUsers, 4 * kSealUsers);
-  for (size_t r = 0; r < kSealUsers; ++r) {
-    arena.AppendBucket(origins[r], static_cast<uint32_t>(r % 8));
+  return origins;
+}
+
+const PayloadArena& SealInput(size_t n, bool shuffled) {
+  static std::map<std::pair<size_t, bool>, PayloadArena>* const kInputs =
+      new std::map<std::pair<size_t, bool>, PayloadArena>();
+  PayloadArena& arena = (*kInputs)[{n, shuffled}];
+  if (arena.num_reports() == 0) {
+    const std::vector<NodeId> origins = Origins(n, shuffled);
+    arena.Reserve(n, 4 * n);
+    for (size_t r = 0; r < n; ++r) {
+      arena.AppendBucket(origins[r], static_cast<uint32_t>(r % 8));
+    }
   }
   return arena;
 }
 
 void BM_SealInject(benchmark::State& state) {
-  static const PayloadArena* const kAscending =
-      new PayloadArena(MakeSealInput(false));
-  static const PayloadArena* const kShuffled =
-      new PayloadArena(MakeSealInput(true));
   const bool shuffled = state.range(0) != 0;
   const bool recycled = state.range(1) != 0;
-  const PayloadArena& input = shuffled ? *kShuffled : *kAscending;
+  const size_t n = static_cast<size_t>(state.range(2));
+  const PayloadArena& input = SealInput(n, shuffled);
   ExchangeWorkspace workspace;
   for (auto _ : state) {
     state.PauseTiming();
     PayloadArena pending = input;
     state.ResumeTiming();
     ExchangeResult sealed =
-        SealExchange(kSealUsers, &pending, recycled ? &workspace : nullptr)
-            .value();
+        SealExchange(n, &pending, recycled ? &workspace : nullptr).value();
     benchmark::DoNotOptimize(sealed.holdings.arena_data());
     benchmark::ClobberMemory();
     if (recycled) workspace.Recycle(std::move(sealed.holdings));
@@ -151,38 +159,78 @@ void BM_SealInject(benchmark::State& state) {
     sealed = ExchangeResult();
     state.ResumeTiming();
   }
-  state.SetLabel(std::string("n=5e5, ") +
+  state.SetLabel("n=" + std::to_string(n) + ", " +
                  (shuffled ? "shuffled" : "ascending") + " arrival, " +
                  (recycled ? "recycled" : "fresh") + " store");
 }
 BENCHMARK(BM_SealInject)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->Args({1, 1})
+    ->Args({0, 0, kSealUsers})
+    ->Args({1, 0, kSealUsers})
+    ->Args({0, 1, kSealUsers})
+    ->Args({1, 1, kSealUsers})
+    ->Args({0, 1, 100000})
+    ->Args({1, 1, 100000})
+    ->Args({0, 1, 200000})
+    ->Args({1, 1, 200000})
     ->Unit(benchmark::kMillisecond);
 
-// The curator's per-epoch receive: ReceiveAll of a finalized kAll inbox
-// (origins mixed by 24 rounds on cold-certify's graph) plus the
-// BeginEpoch that archives and resets its counters.  The inbox copy is
-// not timed.
-void BM_ServerReceiveAll(benchmark::State& state) {
-  static const std::vector<FinalReport>* const kInbox = [] {
-    return new std::vector<FinalReport>(
-        FinalizeProtocol(FinalizeInput(), ReportingProtocol::kAll, 6)
-            .server_inbox);
-  }();
-  Server server(FinalizeInput().holdings.num_users());
+// The seal as the empirical accountant's trials run it: one seal of the
+// identity arena (ascending arrival) per pool thread at once, each inside a
+// ParallelFor chunk and into its own recycled store, so every injection is
+// nested in a parallel region and runs on the thread that called it.
+void BM_SealInjectNested(benchmark::State& state) {
+  const PayloadArena& input = SealInput(kSealUsers, false);
+  const size_t trials = ThreadCount();
+  std::vector<ExchangeWorkspace> workspaces(trials);
+  std::vector<PayloadArena> pending(trials);
+  std::vector<ExchangeResult> sealed(trials);
   for (auto _ : state) {
     state.PauseTiming();
-    std::vector<FinalReport> inbox = *kInbox;
+    for (PayloadArena& p : pending) p = input;
+    state.ResumeTiming();
+    ParallelFor(trials, 1, [&](size_t begin, size_t end) {
+      for (size_t t = begin; t < end; ++t) {
+        sealed[t] =
+            SealExchange(kSealUsers, &pending[t], &workspaces[t]).value();
+      }
+    });
+    benchmark::ClobberMemory();
+    state.PauseTiming();
+    for (size_t t = 0; t < trials; ++t) {
+      workspaces[t].Recycle(std::move(sealed[t].holdings));
+      sealed[t] = ExchangeResult();
+    }
+    state.ResumeTiming();
+  }
+  state.SetLabel("n=5e5, ascending arrival, " + std::to_string(trials) +
+                 " trials");
+}
+BENCHMARK(BM_SealInjectNested)->Unit(benchmark::kMillisecond);
+
+// The curator's per-epoch receive: ReceiveAll of a kAll inbox of n reports
+// (the range), each origin once in a fixed random order, as the rounds
+// leave them mixed, plus the BeginEpoch that archives and resets its
+// counters.  The inbox copy is not timed.
+void BM_ServerReceiveAll(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<FinalReport> mixed(n);
+  const std::vector<NodeId> origins = Origins(n, true);
+  for (size_t i = 0; i < n; ++i) mixed[i].origin = origins[i];
+  Server server(n);
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<FinalReport> inbox = mixed;
     state.ResumeTiming();
     server.ReceiveAll(std::move(inbox));
     server.BeginEpoch();
   }
-  state.SetLabel("BA n=5e5 m=10 after 24 rounds");
+  state.SetLabel("n=" + std::to_string(n) + ", mixed inbox");
 }
-BENCHMARK(BM_ServerReceiveAll)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServerReceiveAll)
+    ->Arg(100000)
+    ->Arg(200000)
+    ->Arg(500000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SecureRelayRound(benchmark::State& state) {
   const size_t n = 256;

@@ -123,8 +123,14 @@ Expected<Session> Session::Create(SessionConfig config) {
   SpectralGapEstimate spectral;
   // Epoch 0's exchange state: Validate's payload check injects configured
   // payloads into its holdings, so they are checked and injected once.
+  // Heap payloads that the kMmap case below spills are checked into a
+  // scratch column instead: the spill's seal is their one injection, onto
+  // the backend.
+  const bool spills = config.storage().kind == StorageBackendKind::kMmap &&
+                      !(config.has_payloads() && config.payloads().hosted());
   ExchangeResult state;
-  Status status = ValidateWith(config, &spectral, &state.holdings);
+  Status status =
+      ValidateWith(config, &spectral, spills ? nullptr : &state.holdings);
   if (!status.ok()) return status;
   const size_t n = config.graph().num_nodes();
 
@@ -139,7 +145,7 @@ Expected<Session> Session::Create(SessionConfig config) {
   std::shared_ptr<StorageBackend> backend;
   if (config.has_payloads() && config.payloads().hosted()) {
     backend = config.payloads().backend();
-  } else if (config.storage().kind == StorageBackendKind::kMmap) {
+  } else if (spills) {
     auto created = StorageBackend::Create(config.storage());
     if (!created.ok()) return created.status();
     backend = std::move(created).value();
@@ -161,8 +167,8 @@ Expected<Session> Session::Create(SessionConfig config) {
         arena.Append(static_cast<NodeId>(r), nullptr, 0);
       }
     }
-    // The spill replaces the heap-injected state: its routing columns go
-    // on the backend with the arena's.  Map failures are typed here.
+    // The routing columns go on the backend with the arena's.  Map
+    // failures are typed here.
     Expected<ExchangeResult> sealed = SealExchange(n, &arena);
     if (!sealed.ok()) return sealed.status();
     state = std::move(sealed).value();

@@ -1,14 +1,11 @@
 #include "shuffle/payload.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <string>
 
 #include "util/parallel.h"
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace netshuffle {
 
@@ -22,42 +19,31 @@ namespace {
 // block instead of one per report (a branch per report made a 4-part pass
 // slower than one serial part).
 
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "MarkBlock reads eight flag bytes as one little-endian word");
+
 // Bit i of the result, i < count <= 64, is set iff the part owning slots
 // [lo, lo + span) must look at report i: origins[i] - lo < span (unsigned),
-// or origins[i] >= n, an origin past the population.
+// or origins[i] >= n, an origin past the population.  The flags go to one
+// byte each, in a loop the compiler vectorizes; then a multiply gathers
+// each eight flag bytes into one byte of the mask (flag byte k times
+// 0x0102040810204080 lands in bit 56 + k, and no two products overlap).
+// A shift-or per report into the mask does not vectorize, and marked 5e5
+// reports about 3x slower.
 uint64_t MarkBlock(const NodeId* origins, uint32_t count, uint32_t lo,
                    uint32_t span, uint32_t n) {
-  uint64_t marked = 0;
-  uint32_t i = 0;
-#if defined(__SSE2__)
-  if (count == 64) {
-    // SSE2 compares are signed: flipping the sign bit of both sides turns
-    // them into the unsigned ones.
-    const __m128i flip = _mm_set1_epi32(INT32_MIN);
-    const __m128i base = _mm_set1_epi32(static_cast<int32_t>(lo));
-    const __m128i owned =
-        _mm_set1_epi32(static_cast<int32_t>(span ^ 0x80000000u));
-    const __m128i last =
-        _mm_set1_epi32(static_cast<int32_t>((n - 1) ^ 0x80000000u));
-    for (; i < 64; i += 4) {
-      // ns-lint: allow(wire): SIMD load of four in-process origins, an
-      // intrinsic-mandated pointer cast, nothing serialized
-      const __m128i o =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(origins + i));
-      const __m128i rel = _mm_xor_si128(_mm_sub_epi32(o, base), flip);
-      const __m128i look =
-          _mm_or_si128(_mm_cmplt_epi32(rel, owned),
-                       _mm_cmpgt_epi32(_mm_xor_si128(o, flip), last));
-      const int bits = _mm_movemask_ps(_mm_castsi128_ps(look));
-      marked |= static_cast<uint64_t>(bits) << i;
-    }
-    return marked;
-  }
-#endif
-  for (; i < count; ++i) {
+  uint8_t look[64] = {};
+  for (uint32_t i = 0; i < count; ++i) {
     const NodeId o = origins[i];
-    const bool look = (o - lo < span) | (o >= n);
-    marked |= static_cast<uint64_t>(look) << i;
+    look[i] = (o - lo < span) | (o >= n);
+  }
+  uint64_t marked = 0;
+  for (uint32_t k = 0; k < 64; k += 8) {
+    uint64_t flags = 0;
+    // ns-lint: allow(wire): eight in-process flag bytes read as one word,
+    // nothing serialized
+    std::memcpy(&flags, look + k, sizeof(flags));
+    marked |= (flags * 0x0102040810204080ull) >> 56 << k;
   }
   return marked;
 }
@@ -109,7 +95,7 @@ Status PayloadArena::InjectOnePerUser(size_t num_users, ReportId* slots,
   // not tile the slots would otherwise leave a torn store behind a passing
   // check.
   constexpr ReportId kUnclaimed = ~ReportId{0};
-  const size_t parts = ScanParts(ThreadCount(), n);
+  const size_t parts = ScanParts(n);
   std::vector<uint32_t> first(parts);
   std::vector<size_t> claims(parts);
   GlobalPool().RunChunks(parts, [&](size_t c) {

@@ -17,25 +17,9 @@ void Server::ReceiveAll(std::vector<FinalReport> frs) {
   // invalid ones are counted per slice, so the counts equal that loop's at
   // any width.  A part's bitmap costs a word per 64 users, so the pool runs
   // only when the bitmaps are no larger than the batch.
-  const size_t parts = ScanParts(ThreadCount(), m);
+  const size_t parts = ScanParts(m);
   if (parts == 1 || parts * words > m) {
-    // Receive's loop, with the counters in registers: they and the bitmap
-    // words share a type, so member counters would be reloaded per report.
-    uint64_t* const seen = seen_.data();
-    size_t added = 0;
-    size_t bad = 0;
-    for (const FinalReport& fr : frs) {
-      const size_t o = fr.origin;
-      if (o >= expected_users_) {
-        ++bad;
-        continue;
-      }
-      const uint64_t bit = uint64_t{1} << (o % 64);
-      added += (seen[o / 64] & bit) == 0 ? 1 : 0;
-      seen[o / 64] |= bit;
-    }
-    distinct_origins_ += added;
-    invalid_origin_count_ += bad;
+    Observe(frs.data(), m);
   } else {
     marks_.resize(parts * words);
     uint64_t* const marks = marks_.data();

@@ -32,7 +32,7 @@ class Server {
 
   /// Single-report ingestion; prefer ReceiveAll for whole inboxes.
   void Receive(FinalReport fr) {
-    Observe(fr);
+    Observe(&fr, 1);
     inbox_.push_back(fr);
   }
 
@@ -94,17 +94,25 @@ class Server {
  private:
   static size_t Words(size_t users) { return (users + 63) / 64; }
 
-  void Observe(const FinalReport& fr) {
-    const size_t o = static_cast<size_t>(fr.origin);
-    if (o >= expected_users_) {
-      ++invalid_origin_count_;
-      return;
+  // Counts reports [0, count) as a Receive loop over them would.  The
+  // counters stay in locals: they and the bitmap words share a type, so
+  // member counters would be reloaded after every bitmap store.
+  void Observe(const FinalReport* reports, size_t count) {
+    uint64_t* const seen = seen_.data();
+    size_t added = 0;
+    size_t bad = 0;
+    for (size_t i = 0; i < count; ++i) {
+      const size_t o = reports[i].origin;
+      if (o >= expected_users_) {
+        ++bad;
+        continue;
+      }
+      const uint64_t bit = uint64_t{1} << (o % 64);
+      added += (seen[o / 64] & bit) == 0 ? 1 : 0;
+      seen[o / 64] |= bit;
     }
-    const uint64_t bit = uint64_t{1} << (o % 64);
-    if ((seen_[o / 64] & bit) == 0) {
-      seen_[o / 64] |= bit;
-      ++distinct_origins_;
-    }
+    distinct_origins_ += added;
+    invalid_origin_count_ += bad;
   }
 
   size_t expected_users_;

@@ -176,6 +176,22 @@ int main() {
   const LazyFaultModel lazy(0.3);
   Rng meta(20220607);
 
+  // A scan pass nested in a parallel region (an accountant trial's
+  // injection) is one part, on the thread that runs it: RunChunks would
+  // run more parts one after another there, each scanning every report.
+  {
+    SetThreadCount(4);
+    CHECK(ScanParts(8 * kMinReportsPerScanPart) == 4);
+    std::vector<size_t> nested(4, 0);
+    ParallelFor(nested.size(), 1, [&](size_t begin, size_t end) {
+      for (size_t t = begin; t < end; ++t) {
+        nested[t] = ScanParts(8 * kMinReportsPerScanPart);
+      }
+    });
+    for (const size_t parts : nested) CHECK(parts == 1);
+    SetThreadCount(0);
+  }
+
   // Injection (PayloadArena::InjectOnePerUser) on five parts' worth of
   // reports, so every width above 1 splits the slots: ascending and
   // shuffled arrival, a duplicate at the first, middle and last report,

@@ -37,23 +37,44 @@ namespace {
 // the pool's round barriers order the workers' adds before the read.
 std::atomic<bool> g_count_allocs{false};
 std::atomic<size_t> g_alloc_bytes{0};
+// Allocations of exactly g_probe_bytes, counted whether or not the total
+// above is armed (0 probes nothing).
+std::atomic<size_t> g_probe_bytes{0};
+std::atomic<size_t> g_probe_hits{0};
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// None of the replacements is inlined: GCC's -Wmismatched-new-delete fires
+// when it inlines one side of a new/delete pair and not the other, and
+// which side it inlines changes with the optimization level.
+__attribute__((noinline)) void* operator new(std::size_t size) {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  }
+  if (size == g_probe_bytes.load(std::memory_order_relaxed)) {
+    g_probe_hits.fetch_add(1, std::memory_order_relaxed);
   }
   void* p = std::malloc(size);
   if (p == nullptr) std::abort();
   return p;
 }
 
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void* operator new[](std::size_t size) {
+  return operator new(size);
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                 std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -225,6 +246,39 @@ void CheckSteadyStateRollAllocationFree(size_t threads) {
   CHECK(session.epoch() == 2);
 }
 
+// Create on the file tier keeps the population's routing state off the
+// heap (DESIGN.md §9) when the configured payloads are on the heap: it
+// checks them into a scratch column and injects them once, onto the backend.
+// A heap ReportStore would allocate its (n + 1)-entry offsets column, a
+// size nothing else in Create allocates; the heap session shows the probe
+// sees one.
+void CheckFileTierCreateKeepsRoutingOffHeap() {
+  const size_t n = 3001;
+  for (const StorageBackendKind kind :
+       {StorageBackendKind::kInRam, StorageBackendKind::kMmap}) {
+    Rng rng(79);
+    SessionConfig config;
+    config.SetGraph(MakeRandomRegular(n, 4, &rng)).SetRounds(8).SetSeed(3);
+    PayloadArena payloads;
+    for (size_t u = 0; u < n; ++u) {
+      payloads.AppendBucket(static_cast<NodeId>(u),
+                            static_cast<uint32_t>(u % 8));
+    }
+    config.SetPayloads(std::move(payloads));
+    StorageBackendConfig storage;
+    storage.kind = kind;
+    config.SetStorage(storage);
+    g_probe_hits.store(0);
+    g_probe_bytes.store((n + 1) * sizeof(uint32_t));
+    Expected<Session> created = Session::Create(std::move(config));
+    g_probe_bytes.store(0);
+    CHECK(created.ok());
+    const bool file_tier = kind == StorageBackendKind::kMmap;
+    CHECK(created.value().payloads().hosted() == file_tier);
+    CHECK((g_probe_hits.load() == 0) == file_tier);
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -233,6 +287,7 @@ int main() {
     CheckSteadyStateStepsAllocationFree(threads);
     CheckSteadyStateRollAllocationFree(threads);
   }
+  CheckFileTierCreateKeepsRoutingOffHeap();
 
   // The thread count must not change a single bit of any of this (the CI
   // matrix additionally runs the whole suite under NS_THREADS=1 and 4).
