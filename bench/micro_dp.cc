@@ -4,12 +4,10 @@
 
 #include "micro_common.h"
 
-#include "core/accounting.h"
 #include "dp/amplification.h"
 #include "dp/composition.h"
 #include "dp/ldp.h"
 #include "dp/privunit.h"
-#include "graph/generators.h"
 #include "util/rng.h"
 
 namespace netshuffle {
@@ -67,23 +65,10 @@ void BM_AdvancedComposition(benchmark::State& state) {
 }
 BENCHMARK(BM_AdvancedComposition)->Arg(100)->Arg(10000);
 
-void BM_MonteCarloEpsilonAll(benchmark::State& state) {
-  Rng rng(7);
-  Graph g = MakeRandomRegular(5000, 8, &rng);
-  uint64_t seed = 0;
-  for (auto _ : state) {
-    auto r = MonteCarloEpsilonAll(g, 8, 1.0, 1e-6, /*trials=*/16, 0.95,
-                                  ++seed);
-    benchmark::DoNotOptimize(r.epsilon_quantile);
-  }
-  state.SetLabel("5k users, 8 rounds, 16 trials");
-}
-BENCHMARK(BM_MonteCarloEpsilonAll)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace netshuffle
 
 int main(int argc, char** argv) {
-  return netshuffle::RunMicroSuite("micro_dp", "BM_MonteCarloEpsilonAll",
+  return netshuffle::RunMicroSuite("micro_dp", "BM_TheoremAllStationary",
                                    argc, argv);
 }

@@ -16,7 +16,6 @@
 #include "shuffle/pki.h"
 #include "shuffle/protocol.h"
 #include "shuffle/server.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace netshuffle {
@@ -173,39 +172,6 @@ BENCHMARK(BM_SealInject)
     ->Args({0, 1, 200000})
     ->Args({1, 1, 200000})
     ->Unit(benchmark::kMillisecond);
-
-// The seal as the empirical accountant's trials run it: one seal of the
-// identity arena (ascending arrival) per pool thread at once, each inside a
-// ParallelFor chunk and into its own recycled store, so every injection is
-// nested in a parallel region and runs on the thread that called it.
-void BM_SealInjectNested(benchmark::State& state) {
-  const PayloadArena& input = SealInput(kSealUsers, false);
-  const size_t trials = ThreadCount();
-  std::vector<ExchangeWorkspace> workspaces(trials);
-  std::vector<PayloadArena> pending(trials);
-  std::vector<ExchangeResult> sealed(trials);
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (PayloadArena& p : pending) p = input;
-    state.ResumeTiming();
-    ParallelFor(trials, 1, [&](size_t begin, size_t end) {
-      for (size_t t = begin; t < end; ++t) {
-        sealed[t] =
-            SealExchange(kSealUsers, &pending[t], &workspaces[t]).value();
-      }
-    });
-    benchmark::ClobberMemory();
-    state.PauseTiming();
-    for (size_t t = 0; t < trials; ++t) {
-      workspaces[t].Recycle(std::move(sealed[t].holdings));
-      sealed[t] = ExchangeResult();
-    }
-    state.ResumeTiming();
-  }
-  state.SetLabel("n=5e5, ascending arrival, " + std::to_string(trials) +
-                 " trials");
-}
-BENCHMARK(BM_SealInjectNested)->Unit(benchmark::kMillisecond);
 
 // The curator's per-epoch receive: ReceiveAll of a kAll inbox of n reports
 // (the range), each origin once in a fixed random order, as the rounds

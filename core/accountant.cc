@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "core/accounting.h"
 #include "core/status.h"
 #include "dp/amplification.h"
 #include "graph/spectral.h"
@@ -82,32 +81,6 @@ PrivacyParams SymmetricExactAccountant::Certify(const AccountingContext& ctx) {
                          ? EpsilonSingle(in)
                          : EpsilonAllSymmetric(in);
   return PrivacyParams{eps, ctx.delta + ctx.delta2};
-}
-
-MonteCarloAccountant::MonteCarloAccountant(size_t trials, double quantile)
-    : trials_(trials), quantile_(quantile) {
-  if (trials == 0 || !(quantile > 0.0) || quantile > 1.0) {
-    NETSHUFFLE_FATAL("MonteCarloAccountant: trials must be > 0 and quantile "
-                     "in (0, 1]");
-  }
-}
-
-PrivacyParams MonteCarloAccountant::Certify(const AccountingContext& ctx) {
-  if (ctx.graph == nullptr) {
-    NETSHUFFLE_FATAL("MonteCarloAccountant requires AccountingContext::graph");
-  }
-  const double delta_total = ctx.delta + ctx.delta2;
-  if (ctx.rounds == 0) return PrivacyParams{kInf, delta_total};
-  if (ctx.protocol == ReportingProtocol::kSingle) {
-    // No slot-credit analysis for single-submission reporting; certify the
-    // closed form instead of overpromising.
-    StationaryBoundAccountant fallback;
-    return fallback.Certify(ctx);
-  }
-  const MonteCarloAccountingResult mc =
-      MonteCarloEpsilonAll(*ctx.graph, ctx.rounds, ctx.epsilon0, delta_total,
-                           trials_, quantile_, ctx.seed);
-  return PrivacyParams{mc.epsilon_quantile, delta_total};
 }
 
 }  // namespace netshuffle

@@ -1,4 +1,4 @@
-// Pluggable privacy accountants: one interface over the three ways this repo
+// Pluggable privacy accountants: one interface over the two ways this repo
 // certifies the central (eps, delta) of a network-shuffled deployment —
 //
 //   StationaryBoundAccountant   Eq.-7 geometric bound on sum P^2 (Thm 5.3 /
@@ -6,12 +6,10 @@
 //                               stationary collision mass, so it also
 //                               answers hypothetical what-if queries without
 //                               a graph (bench/fig8_parameters.cc).
-//   SymmetricExactAccountant    exact position tracking + rho* (Thm 5.4);
-//                               tighter at finite t, caches the tracked
-//                               distribution across queries.
-//   MonteCarloAccountant        data-dependent simulation accounting
-//                               (core/accounting.h): quantile epsilon over
-//                               exchange randomness with within-slot credit.
+//   SymmetricExactAccountant    exact position tracking + rho* (Thm 5.4) of
+//                               a report from node 0; tighter at finite t,
+//                               caches the tracked distribution across
+//                               queries.
 //
 // Accountants return the *raw* theorem value, which can exceed the trivial
 // (eps0, 0) LDP floor in weak regimes (or be +inf where a theorem certifies
@@ -55,10 +53,12 @@ struct AccountingContext {
   double spectral_gap = 0.0;
   /// sum_v pi_v^2 of the stationary distribution (= Gamma_G / n).
   double stationary_sum_squares = 0.0;
-  /// The communication graph; required by SymmetricExactAccountant and
-  /// MonteCarloAccountant, ignored by StationaryBoundAccountant.
+  /// The communication graph; required by SymmetricExactAccountant, ignored
+  /// by StationaryBoundAccountant.
   const Graph* graph = nullptr;
-  /// Exchange seed (MonteCarloAccountant trial seeds derive from it).
+  /// Unread: no accountant consumes a seed.  Its last writer is perfbench's
+  /// replay (perfbench/src/replay.cc:227); the field goes once that write
+  /// is dropped.
   uint64_t seed = 2022;
 };
 
@@ -90,9 +90,9 @@ class Accountant {
   /// pointer-keyed caches cannot see such a change on their own.
   virtual void OnTopologyChanged() {}
 
-  /// A fresh accountant with this one's CONFIGURATION (trials, quantile,
-  /// ...) but none of its cached walk state.  Session::Create adopts a
-  /// clone, never the configured instance itself: a SessionConfig is
+  /// A fresh accountant of this one's kind (with its configuration, should
+  /// it carry any) but none of its cached walk state.  Session::Create
+  /// adopts a clone, never the configured instance itself: a SessionConfig is
   /// copyable, so two Creates from one config would otherwise share one
   /// mutable accountant — its cache keyed on dead graph addresses and its
   /// queries racing across sessions.
@@ -115,11 +115,17 @@ class StationaryBoundAccountant : public Accountant {
   }
 };
 
-/// Theorem 5.4: exact position tracking of a report injected at node 0 (the
-/// convention shared with core/accounting.cc), with the rho* overshoot.
-/// kSingle queries use Theorem 5.5 at the exact collision mass.  Requires
-/// ctx.graph.  The tracked distribution is cached and advanced incrementally
-/// across ascending-round queries on the same graph.
+/// Theorem 5.4: exact position tracking of a report injected at node 0, with
+/// the rho* overshoot.  kSingle queries use Theorem 5.5 at the exact
+/// collision mass.  Requires ctx.graph.  The tracked distribution is cached
+/// and advanced incrementally across ascending-round queries on the same
+/// graph.
+///
+/// Only origin 0 is tracked, so the value is a guarantee for every report
+/// only when every origin's walk looks alike (as on a vertex-transitive
+/// graph).  Elsewhere it can understate the worst origin's epsilon: on BA
+/// n = 4000, m = 3, t = 7, node 0 gives 1.118 against 1.782 at the worst
+/// origin.
 class SymmetricExactAccountant : public Accountant {
  public:
   const char* name() const override { return "symmetric_exact"; }
@@ -137,29 +143,6 @@ class SymmetricExactAccountant : public Accountant {
  private:
   const Graph* cached_graph_ = nullptr;
   std::unique_ptr<PositionDistribution> dist_;
-};
-
-/// Data-dependent Monte-Carlo accounting (core/accounting.h): certifies the
-/// configured quantile of the per-trial epsilon over exchange randomness.
-/// A_all only — kSingle queries fall back to the stationary bound (the slot
-/// credit has no single-submission analogue here).  Requires ctx.graph.
-class MonteCarloAccountant : public Accountant {
- public:
-  /// `quantile` must lie in (0, 1]; `trials` must be positive.
-  explicit MonteCarloAccountant(size_t trials = 40, double quantile = 0.95);
-
-  const char* name() const override { return "monte_carlo"; }
-  PrivacyParams Certify(const AccountingContext& ctx) override;
-  std::unique_ptr<Accountant> Clone() const override {
-    return std::make_unique<MonteCarloAccountant>(trials_, quantile_);
-  }
-
-  size_t trials() const { return trials_; }
-  double quantile() const { return quantile_; }
-
- private:
-  size_t trials_;
-  double quantile_;
 };
 
 }  // namespace netshuffle

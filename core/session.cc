@@ -436,7 +436,6 @@ AccountingContext Session::ContextAt(size_t rounds, double epsilon0) const {
   ctx.spectral_gap = spectral_.gap;
   ctx.stationary_sum_squares = stationary_sum_squares_;
   ctx.graph = &graph_;
-  ctx.seed = epoch_seed_;
   return ctx;
 }
 

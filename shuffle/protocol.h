@@ -38,11 +38,9 @@ using ReportId = uint32_t;
 constexpr size_t kMinReportsPerScanPart = size_t{1} << 16;
 
 /// The part count of such a pass over `reports` reports: one part per pool
-/// thread, at least one part.  Inside a parallel region (an accountant
-/// trial) it is one part: RunChunks would run the parts one after another
-/// on the calling thread, and every injection part scans all the reports.
+/// thread, at least one part.
 inline size_t ScanParts(size_t reports) {
-  const size_t width = ThreadPool::InParallelRegion() ? 1 : ThreadCount();
+  const size_t width = ThreadCount();
   const size_t parts = reports / kMinReportsPerScanPart;
   return parts < 1 ? 1 : (parts < width ? parts : width);
 }

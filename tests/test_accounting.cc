@@ -1,10 +1,5 @@
-// Monte-Carlo accountant and collusion adversary analysis.
+// Anonymity-set size and collusion adversary analysis.
 
-#include "core/accounting.h"
-
-#include <cmath>
-
-#include "dp/amplification.h"
 #include "graph/anonymity.h"
 #include "graph/generators.h"
 #include "graph/spectral.h"
@@ -17,25 +12,9 @@ using namespace netshuffle;
 
 int main() {
   const size_t n = 2000, k = 8;
-  const double eps0 = 1.0;
   Rng rng(2022);
   Graph g = MakeRandomRegular(n, k, &rng);
   const double gap = EstimateSpectralGap(g).gap;
-
-  // The data-dependent accountant never certifies more than the closed form.
-  for (size_t t : {4u, 8u, 16u}) {
-    NetworkShufflingBoundInput in;
-    in.epsilon0 = eps0;
-    in.n = n;
-    in.sum_p_squares = SumSquaresBound(1.0 / static_cast<double>(n), gap, t);
-    in.delta = in.delta2 = 0.5e-6;
-    const double closed = EpsilonAllStationary(in);
-    const auto mc = MonteCarloEpsilonAll(g, t, eps0, 1e-6, 20, 0.95, 7);
-    CHECK(mc.trials == 20);
-    CHECK(std::isfinite(mc.epsilon_mean));
-    CHECK(mc.epsilon_mean <= mc.epsilon_quantile + 1e-12);
-    CHECK(mc.epsilon_quantile <= closed + 1e-9);
-  }
 
   // Anonymity-set size: uniform = n, point mass = 1.
   std::vector<double> uniform(100, 0.01);

@@ -1,11 +1,9 @@
 // The determinism guarantee of the parallel hot paths (DESIGN.md "Parallel
-// execution model"): for a fixed seed, the exchange engine, the Monte-Carlo
-// accountant, the walk step, and the spectral sweep are bit-identical at any
-// thread count.
+// execution model"): for a fixed seed, the exchange engine, the walk step,
+// and the spectral sweep are bit-identical at any thread count.
 
 #include <vector>
 
-#include "core/accounting.h"
 #include "graph/generators.h"
 #include "graph/spectral.h"
 #include "graph/walk.h"
@@ -37,8 +35,6 @@ struct Snapshot {
   uint64_t max_traffic = 0;
   double mean_traffic = 0.0;
   size_t max_memory = 0;
-  double mc_mean = 0.0;
-  double mc_quantile = 0.0;
   SpectralGapEstimate spectral;
   std::vector<double> walk_p;
   double walk_sum_squares = 0.0;
@@ -65,12 +61,6 @@ Snapshot RunAll(const Graph& g, size_t threads) {
   faulty.faults = &lazy;
   s.faulty_holdings = Flatten(RunExchange(g, faulty).holdings);
 
-  const auto mc = MonteCarloEpsilonAll(g, /*rounds=*/8, /*epsilon0=*/1.0,
-                                       /*delta_total=*/1e-6, /*trials=*/24,
-                                       /*quantile=*/0.95, /*seed=*/7);
-  s.mc_mean = mc.epsilon_mean;
-  s.mc_quantile = mc.epsilon_quantile;
-
   s.spectral = EstimateSpectralGap(g);
 
   PositionDistribution d(&g, 0);
@@ -91,9 +81,6 @@ void CheckIdentical(const Snapshot& a, const Snapshot& b) {
   CHECK(a.max_traffic == b.max_traffic);
   CHECK(a.mean_traffic == b.mean_traffic);  // exact: integer-valued sums
   CHECK(a.max_memory == b.max_memory);
-  // Bit-identical epsilons, not merely close.
-  CHECK(a.mc_mean == b.mc_mean);
-  CHECK(a.mc_quantile == b.mc_quantile);
   // The whole certified estimate: every Lanczos reduction sums fixed
   // blocks in block order, so the Ritz value, the bound, and the step at
   // which the stopping rule fires cannot move with the thread count.
@@ -149,7 +136,7 @@ int main() {
     CheckIdentical(t1, t2);
     CheckIdentical(t1, t4);
 
-    // Sanity besides equality: reports conserved, accountant finite.
+    // Sanity besides equality: reports conserved, spectral gap certified.
     size_t total = 0;
     for (const auto& held : t4.holdings) total += held.size();
     CHECK(total == g->num_nodes());
@@ -159,8 +146,6 @@ int main() {
     CheckIdentical(t1, t64);
     CHECK(t4.spectral.converged);
     CHECK(t4.spectral.gap > 0.0);
-    CHECK(t4.mc_mean > 0.0);
-    CHECK(t4.mc_mean <= t4.mc_quantile + 1e-12);
   }
 
   // A graph large enough that the stopping rules are tested at every

@@ -1,5 +1,5 @@
-// Shared-memory parallelism for the hot paths (exchange rounds, Monte-Carlo
-// accounting trials, walk/spectral sweeps).  One process-wide pool, sized by
+// Shared-memory parallelism for the hot paths (exchange rounds, the epoch
+// seal and receive, walk/spectral sweeps).  One process-wide pool, sized by
 // the NS_THREADS knob (0/unset = hardware concurrency), drives every helper
 // here.
 //
@@ -61,9 +61,8 @@ size_t ThreadCount();
 /// reader thread to dispatch a walk sweep while the serving thread's
 /// exchange round is in flight (core/session.h "Concurrency contract").
 /// Nested dispatch — from a worker, or from the dispatcher's own share of
-/// an outer job — runs inline instead of deadlocking, which is what lets
-/// the accountant's parallel trials call the (also parallel) exchange
-/// engine.
+/// an outer job — runs inline instead of deadlocking, so a parallel caller
+/// may safely call code that is parallel itself.
 class ThreadPool {
  public:
   /// `threads` is the total parallelism including the dispatching thread, so
@@ -79,11 +78,11 @@ class ThreadPool {
   /// Runs fn(c) for every c in [0, chunks), blocking until all complete.
   void RunChunks(size_t chunks, const std::function<void(size_t)>& fn);
 
+ private:
   /// True on a pool worker, and on a dispatching thread while it executes
   /// its own share of a job.
   static bool InParallelRegion();
 
- private:
   struct Job {
     const std::function<void(size_t)>* fn = nullptr;
     size_t chunks = 0;
