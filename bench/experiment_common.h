@@ -95,7 +95,7 @@ inline size_t EnvThreads() { return EnvThreadCount(); }
 ///     "threads": 4,                       // effective NS_THREADS
 ///     "scale": 0.05,                      // effective NS_SCALE
 ///     "accountant": "stationary_bound",   // who certified the headline
-///                                         // (see core/accountant.h names)
+///                                         // (see SetAccountant)
 ///     "completed": true,                  // false = the harness died before
 ///                                         // its final write
 ///     "wall_seconds": 1.234567,           // whole-harness wall time
@@ -130,8 +130,9 @@ class BenchRunner {
     headline_value_ = value;
   }
 
-  /// Which accountant certified the headline metric (an Accountant::name()
-  /// value, or "none" for harnesses that do no privacy accounting).
+  /// Who certified the headline metric: StationaryBoundAccountant::name(),
+  /// "none" for harnesses that do no privacy accounting, or a harness-side
+  /// label such as ablation_bounds' "node0_exact".
   void SetAccountant(const std::string& name) { accountant_ = name; }
 
   /// Call on a harness error path before returning from main: the final

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "core/accountant.h"
 #include "core/session.h"
 #include "experiment_common.h"
 #include "graph/generators.h"
@@ -37,7 +38,8 @@ int main() {
     return 1;
   }
   Session session = std::move(created).value();
-  bench.SetAccountant(session.accountant().name());
+  const StationaryBoundAccountant accountant;
+  bench.SetAccountant(accountant.name());
   const Graph& g = session.graph();
   const double gap = session.spectral_gap();
   const size_t t = session.mixing_rounds();
@@ -63,7 +65,7 @@ int main() {
 
   // Re-certify at an inflated collision mass through the same accountant.
   const auto eps_inflated = [&](double inflation) {
-    return session.accountant()
+    return accountant
         .Certify(FixedMassContext(n, eps0, base_mass * inflation, 0.5e-6,
                                   0.5e-6))
         .epsilon;

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "core/accountant.h"
 #include "core/session.h"
 #include "experiment_common.h"
 #include "util/table.h"
@@ -63,7 +64,7 @@ int main() {
   }
   t.Print();
   bench.SetHeadline("facebook_eps_t16384", eps_facebook_final);
-  bench.SetAccountant(sessions[0].accountant().name());
+  bench.SetAccountant(StationaryBoundAccountant().name());
   for (size_t d = 0; d < sessions.size(); ++d) {
     bench.AddMetric(std::string(names[d]) + "_t_mix",
                     static_cast<double>(sessions[d].mixing_rounds()));

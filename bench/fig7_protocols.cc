@@ -1,6 +1,6 @@
 // Figure 7 — A_all vs A_single central epsilon as a function of eps0, on the
 // Twitch-like (n ~ 9.5k) and Google-like (n ~ 8.6x10^5) graphs, queried
-// through the pluggable Accountant interface (core/accountant.h) at the
+// through StationaryBoundAccountant (core/accountant.h) at the
 // stationary-limit collision mass sum pi^2 + 1/n^2 (FixedMassContext).
 //
 // The reproduced crossover: A_single amplifies more at large eps0 (its bound

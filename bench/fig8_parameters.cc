@@ -1,9 +1,9 @@
 // Figure 8 — stationary-limit parameter study without any dataset
 // assumption: central eps vs eps0 (0.2 .. 2.0) for Gamma in {1, 10},
 // n in {10^4, 10^6}, both protocols; the eps = eps0 diagonal is the
-// no-amplification reference.  A graph-free use of the Accountant
-// interface: the context carries only scalars (n, Gamma/n as the collision
-// mass, spectral_gap pinned to 1).
+// no-amplification reference.  A graph-free use of
+// StationaryBoundAccountant: the context carries only scalars (n, Gamma/n
+// as the collision mass, spectral_gap pinned to 1).
 
 #include <cstdio>
 

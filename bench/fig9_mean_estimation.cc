@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/accountant.h"
 #include "core/session.h"
 #include "estimation/mean_estimation.h"
 #include "experiment_common.h"
@@ -53,7 +54,7 @@ int main() {
   }
   Session& all_acct = all_created.value();
   Session& single_acct = single_created.value();
-  bench.SetAccountant(all_acct.accountant().name());
+  bench.SetAccountant(StationaryBoundAccountant().name());
   const size_t rounds = all_acct.target_rounds();
   std::printf("operating point: t = %zu rounds (alpha = %.5f)\n\n", rounds,
               all_acct.spectral_gap());

@@ -1,29 +1,21 @@
-// Pluggable privacy accountants: one interface over the two ways this repo
-// certifies the central (eps, delta) of a network-shuffled deployment —
+// The privacy accountant: the one way this repo certifies the central
+// (eps, delta) of a network-shuffled deployment.  StationaryBoundAccountant
+// prices the Eq.-7 geometric bound on sum P^2 (Thm 5.3 / 5.5); it needs only
+// the spectral gap and the stationary collision mass, so it tracks no single
+// origin's walk and also answers hypothetical what-if queries without a
+// graph (bench/fig8_parameters.cc).
 //
-//   StationaryBoundAccountant   Eq.-7 geometric bound on sum P^2 (Thm 5.3 /
-//                               5.5); needs only the spectral gap and the
-//                               stationary collision mass, so it also
-//                               answers hypothetical what-if queries without
-//                               a graph (bench/fig8_parameters.cc).
-//   SymmetricExactAccountant    exact position tracking + rho* (Thm 5.4) of
-//                               a report from node 0; tighter at finite t,
-//                               caches the tracked distribution across
-//                               queries.
-//
-// Accountants return the *raw* theorem value, which can exceed the trivial
-// (eps0, 0) LDP floor in weak regimes (or be +inf where a theorem certifies
-// nothing); core/session.h Session caps against the floor.
+// Certify returns the *raw* theorem value, which can exceed the trivial
+// (eps0, 0) LDP floor in weak regimes (or be +inf where the theorem
+// certifies nothing); core/session.h Session caps against the floor.
 
 #ifndef NETSHUFFLE_CORE_ACCOUNTANT_H_
 #define NETSHUFFLE_CORE_ACCOUNTANT_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "graph/graph.h"
-#include "graph/walk.h"
 #include "shuffle/protocol.h"
 
 namespace netshuffle {
@@ -33,17 +25,15 @@ struct PrivacyParams {
   double delta = 0.0;
 };
 
-/// Everything an accountant may consume at query time.  A Session fills all
-/// of it; standalone callers (parameter-study benches) may leave `graph`
-/// null and use the scalar fields only — the graph-requiring accountants
-/// document that they need it.
+/// Everything the accountant consumes at query time: scalars only, so a
+/// Session and a graph-free parameter study fill it the same way.
 struct AccountingContext {
   /// Local DP budget of each report's randomizer.
   double epsilon0 = 1.0;
   /// Number of participating users (= reports).
   size_t n = 0;
   /// Exchange rounds accounted for.  0 certifies nothing beyond the LDP
-  /// floor (every accountant returns +inf, which Session caps).
+  /// floor (Certify returns +inf, which Session caps).
   size_t rounds = 0;
   ReportingProtocol protocol = ReportingProtocol::kAll;
   /// Delta split: composition slack / report-size concentration slack.
@@ -53,8 +43,10 @@ struct AccountingContext {
   double spectral_gap = 0.0;
   /// sum_v pi_v^2 of the stationary distribution (= Gamma_G / n).
   double stationary_sum_squares = 0.0;
-  /// The communication graph; required by SymmetricExactAccountant, ignored
-  /// by StationaryBoundAccountant.
+  /// Unread: the accountant prices the graph through spectral_gap and
+  /// stationary_sum_squares alone.  Its last writer is perfbench's replay
+  /// (perfbench/src/replay.cc:226); the field goes once that write is
+  /// dropped.
   const Graph* graph = nullptr;
   /// Unread: no accountant consumes a seed.  Its last writer is perfbench's
   /// replay (perfbench/src/replay.cc:227); the field goes once that write
@@ -62,7 +54,7 @@ struct AccountingContext {
   uint64_t seed = 2022;
 };
 
-/// Context that makes an accountant consume `sum_p_squares` as-is: rounds=1
+/// Context that makes the accountant consume `sum_p_squares` as-is: rounds=1
 /// with spectral_gap=1 zeroes the geometric term of the Eq.-7 bound, so the
 /// supplied value IS the operating-point collision mass.  The graph-free
 /// parameter-study idiom (fig7/fig8 sweeps, collusion penalties).
@@ -72,33 +64,6 @@ AccountingContext FixedMassContext(size_t n, double epsilon0,
                                    ReportingProtocol protocol =
                                        ReportingProtocol::kAll);
 
-class Accountant {
- public:
-  virtual ~Accountant() = default;
-
-  /// Stable identifier, surfaced in BENCH_*.json ("accountant" field).
-  virtual const char* name() const = 0;
-
-  /// Raw certified central (eps, delta_total) at the queried operating
-  /// point.  May exceed the (eps0, 0) floor; +inf epsilon when the theorem's
-  /// validity regime is left.  Non-const because implementations may cache
-  /// walk state between queries.
-  virtual PrivacyParams Certify(const AccountingContext& ctx) = 0;
-
-  /// Invalidates any cached walk state.  Callers that mutate a graph IN
-  /// PLACE (same object address — e.g. Session::Rewire) must call this;
-  /// pointer-keyed caches cannot see such a change on their own.
-  virtual void OnTopologyChanged() {}
-
-  /// A fresh accountant of this one's kind (with its configuration, should
-  /// it carry any) but none of its cached walk state.  Session::Create
-  /// adopts a clone, never the configured instance itself: a SessionConfig is
-  /// copyable, so two Creates from one config would otherwise share one
-  /// mutable accountant — its cache keyed on dead graph addresses and its
-  /// queries racing across sessions.
-  virtual std::unique_ptr<Accountant> Clone() const = 0;
-};
-
 /// Theorem 5.3 (kAll) / 5.5 (kSingle) at the Eq.-7 collision-mass bound
 /// sum pi^2 + (1 - alpha)^{2t}.  Graph-free: a query with spectral_gap = 1
 /// evaluates the pure stationary limit at any supplied collision mass.
@@ -106,43 +71,15 @@ class Accountant {
 /// kSpectralFailureProbability (graph/spectral.h), the concentration step
 /// spends delta2 minus that constant; the reported delta is still
 /// delta + delta2, and delta2 at or below the constant certifies nothing.
-class StationaryBoundAccountant : public Accountant {
+/// An epsilon0 that is not finite and > 0 certifies nothing either (+inf).
+class StationaryBoundAccountant {
  public:
-  const char* name() const override { return "stationary_bound"; }
-  PrivacyParams Certify(const AccountingContext& ctx) override;
-  std::unique_ptr<Accountant> Clone() const override {
-    return std::make_unique<StationaryBoundAccountant>();
-  }
-};
-
-/// Theorem 5.4: exact position tracking of a report injected at node 0, with
-/// the rho* overshoot.  kSingle queries use Theorem 5.5 at the exact
-/// collision mass.  Requires ctx.graph.  The tracked distribution is cached
-/// and advanced incrementally across ascending-round queries on the same
-/// graph.
-///
-/// Only origin 0 is tracked, so the value is a guarantee for every report
-/// only when every origin's walk looks alike (as on a vertex-transitive
-/// graph).  Elsewhere it can understate the worst origin's epsilon: on BA
-/// n = 4000, m = 3, t = 7, node 0 gives 1.118 against 1.782 at the worst
-/// origin.
-class SymmetricExactAccountant : public Accountant {
- public:
-  const char* name() const override { return "symmetric_exact"; }
-  PrivacyParams Certify(const AccountingContext& ctx) override;
-  void OnTopologyChanged() override {
-    cached_graph_ = nullptr;
-    dist_.reset();
-  }
-  /// The clone starts with an empty walk cache (it is rebuilt on first
-  /// query), so cloning never leaks tracked state across sessions.
-  std::unique_ptr<Accountant> Clone() const override {
-    return std::make_unique<SymmetricExactAccountant>();
-  }
-
- private:
-  const Graph* cached_graph_ = nullptr;
-  std::unique_ptr<PositionDistribution> dist_;
+  /// Stable identifier, surfaced in BENCH_*.json ("accountant" field).
+  const char* name() const { return "stationary_bound"; }
+  /// Raw certified central (eps, delta + delta2) at the queried operating
+  /// point.  May exceed the (eps0, 0) floor; +inf epsilon when the theorem's
+  /// validity regime is left.  Stateless, so safe from any thread.
+  PrivacyParams Certify(const AccountingContext& ctx) const;
 };
 
 }  // namespace netshuffle

@@ -196,7 +196,6 @@ Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
       delta_(config.delta()),
       delta2_(config.delta2()),
       seed_(config.seed()),
-      accountant_(config.accountant()),
       faults_(config.faults()),
       allow_non_ergodic_(config.allow_non_ergodic()),
       require_mixed_rounds_(config.require_mixed_rounds()),
@@ -207,20 +206,6 @@ Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
       spectral_(spectral),
       epoch_seed_(config.seed()),
       sync_(std::make_unique<Sync>()) {
-  if (accountant_ == nullptr) {
-    accountant_ = std::make_shared<StationaryBoundAccountant>();
-  } else {
-    // Adopt a CLONE, never the configured instance: the config is copyable,
-    // so the same accountant object could otherwise be adopted by several
-    // sessions — cached walk state keyed on dead graph addresses, queries
-    // racing across sessions, and this session's query-side mutex
-    // (Sync::accountant) protecting nothing.
-    accountant_ = accountant_->Clone();
-  }
-  // Clones start cache-free by contract, but a custom Clone may copy cached
-  // walk state keyed on another session's graph address; invalidate
-  // defensively.
-  accountant_->OnTopologyChanged();
   stationary_sum_squares_ = StationarySumSquares(graph_);
   mixing_rounds_ = MixingTime(spectral_.gap, graph_.num_nodes());
   rounds_fixed_ = config.rounds() > 0;
@@ -417,10 +402,6 @@ Status Session::Rewire(Graph graph) {
     // A mixing-time rounds policy re-resolves against the new topology; an
     // explicit SetRounds target is the caller's to keep.
     if (!rounds_fixed_) target_rounds_ = mixing_rounds_;
-    // The graph changed under the accountant's feet (same member address,
-    // so pointer-keyed caches cannot tell): drop any tracked walk state.
-    ns::MutexLock acct(&sync_->accountant);
-    accountant_->OnTopologyChanged();
   }
   return Status::Ok();
 }
@@ -435,7 +416,6 @@ AccountingContext Session::ContextAt(size_t rounds, double epsilon0) const {
   ctx.delta2 = delta2_;
   ctx.spectral_gap = spectral_.gap;
   ctx.stationary_sum_squares = stationary_sum_squares_;
-  ctx.graph = &graph_;
   return ctx;
 }
 
@@ -446,14 +426,13 @@ PrivacyParams Session::RawGuaranteeAt(size_t rounds, double epsilon0) const {
   // epoch rollovers under continuous query load now lives inside
   // ns::SharedMutex::ReaderLock.
   ns::ReaderMutexLock structure(&sync_->structure);
-  const AccountingContext ctx = ContextAt(rounds, epsilon0);
-  // Accountants may cache walk state between queries; one reader at a time.
-  ns::MutexLock acct(&sync_->accountant);
-  return accountant_->Certify(ctx);
+  return StationaryBoundAccountant().Certify(ContextAt(rounds, epsilon0));
 }
 
 PrivacyParams Session::GuaranteeAt(size_t rounds, double epsilon0) const {
   const PrivacyParams raw = RawGuaranteeAt(rounds, epsilon0);
+  // An invalid eps0 has no LDP floor to fall back to; raw is then +inf.
+  if (!std::isfinite(epsilon0) || epsilon0 <= 0.0) return raw;
   if (!(raw.epsilon < epsilon0)) {
     // The amplification argument certifies nothing beyond the LDP floor,
     // which costs no delta.

@@ -23,14 +23,16 @@
 // fresh per-epoch exchange, FinalizeEpoch() closes an epoch out, and
 // accounting queries (Guarantee / GuaranteeAt / current_round / epoch) are
 // safe from reader threads concurrently with Step — progress is published
-// through one acquire/release atomic and accountant caches are serialized
-// on a query-side mutex, with zero locks added to the hot scatter path.
+// through one acquire/release atomic and the accountant is stateless, so a
+// query takes only the shared structure lock, with zero locks added to the
+// hot scatter path.
 // The one-shot path (Create with payloads -> Step -> Finalize) is epoch 0
 // of the same lifecycle, bit-identical to the pre-epoch engine
 // (tests/test_session_incremental.cc).
 //
-// Accounting is pluggable (core/accountant.h) and mechanisms are pluggable
-// (dp/mechanism.h).  See DESIGN.md "Session API".
+// Accounting is one accountant, StationaryBoundAccountant
+// (core/accountant.h); mechanisms are pluggable (dp/mechanism.h).  See
+// DESIGN.md "Session API".
 
 #ifndef NETSHUFFLE_CORE_SESSION_H_
 #define NETSHUFFLE_CORE_SESSION_H_
@@ -58,10 +60,7 @@
 namespace netshuffle {
 
 /// Builder-style configuration.  Every setter returns *this so calls chain;
-/// build a named config and std::move it into Session::Create.  The config
-/// is copyable, and safely so: Create adopts a private Accountant::Clone()
-/// of the configured accountant, so two sessions built from one (copied)
-/// config never share mutable accounting state.
+/// build a named config and std::move it into Session::Create.
 class SessionConfig {
  public:
   /// The communication graph (required; the session takes ownership).
@@ -148,15 +147,6 @@ class SessionConfig {
     return *this;
   }
 
-  /// Pluggable accounting; default is StationaryBoundAccountant.  The
-  /// session adopts a Clone() at Create (configuration, not cache), so the
-  /// instance set here is never mutated by the session and one config can
-  /// safely build many sessions.
-  SessionConfig& SetAccountant(std::shared_ptr<Accountant> accountant) {
-    accountant_ = std::move(accountant);
-    return *this;
-  }
-
   /// Optional availability model for Step; must outlive the session.
   SessionConfig& SetFaults(const FaultModel* faults) {
     faults_ = faults;
@@ -164,7 +154,7 @@ class SessionConfig {
   }
 
   /// Escape hatch: accept disconnected / bipartite graphs (the walk theory
-  /// does not apply; accountants will certify little or nothing).
+  /// does not apply; the accountant will certify little or nothing).
   SessionConfig& AllowNonErgodic(bool allow = true) {
     allow_non_ergodic_ = allow;
     return *this;
@@ -191,7 +181,6 @@ class SessionConfig {
   double delta() const { return delta_; }
   double delta2() const { return delta2_; }
   uint64_t seed() const { return seed_; }
-  const std::shared_ptr<Accountant>& accountant() const { return accountant_; }
   const FaultModel* faults() const { return faults_; }
   bool allow_non_ergodic() const { return allow_non_ergodic_; }
   bool require_mixed_rounds() const { return require_mixed_rounds_; }
@@ -210,7 +199,6 @@ class SessionConfig {
   double delta_ = 0.5e-6;
   double delta2_ = 0.5e-6;
   uint64_t seed_ = 2022;
-  std::shared_ptr<Accountant> accountant_;
   const FaultModel* faults_ = nullptr;
   bool allow_non_ergodic_ = false;
   bool require_mixed_rounds_ = false;
@@ -299,9 +287,9 @@ class Session {
   //   (epoch, round) pair — and the graph/spectral state those queries
   //   read is NS_GUARDED_BY Sync::structure, an ns::SharedMutex
   //   (writer-priority built in) that only BeginEpoch and Rewire take
-  //   exclusively.  Accountant caches are
-  //   serialized on the query-side Sync::accountant mutex.  No lock of
-  //   any kind is added to the engine's hop or scatter passes.
+  //   exclusively.  The accountant is stateless, so that shared lock is
+  //   the only one a query takes.  No lock of any kind is added to the
+  //   engine's hop or scatter passes.
   //
   //   ingest-thread (one producer; may be the mutator or a third thread):
   //   Ingest / pending_arena / pending_reports / DiscardPending.  The
@@ -351,7 +339,6 @@ class Session {
   const std::string& mechanism_name() const { return mechanism_name_; }
   ReportingProtocol protocol() const { return protocol_; }
   uint64_t seed() const { return seed_; }
-  Accountant& accountant() const { return *accountant_; }
 
   // ---- Incremental execution ----------------------------------------------
 
@@ -446,10 +433,9 @@ class Session {
   /// the mixing floor are recomputed, and a mixing-time
   /// rounds policy re-resolves target_rounds() against the new topology
   /// (an explicit SetRounds target is kept as configured); the executed
-  /// rounds and holdings are kept, and accountant caches are invalidated.
-  /// Accounting after a rewire re-derives walk state on the current
-  /// topology — an approximation the static theorems do not cover exactly
-  /// (DESIGN.md "Session API").
+  /// rounds and holdings are kept.  Accounting after a rewire prices the
+  /// whole run on the current topology — an approximation the static
+  /// theorems do not cover exactly (DESIGN.md "Session API").
   Status Rewire(Graph graph);
 
   // ---- Accounting queries --------------------------------------------------
@@ -458,11 +444,14 @@ class Session {
   // with Step, BeginEpoch, and Rewire (see the concurrency contract).
 
   /// Raw theorem guarantee at a hypothetical round count (no stepping
-  /// required); can exceed eps0 in weak regimes.
+  /// required); can exceed eps0 in weak regimes.  An eps0 that is not
+  /// finite and > 0 certifies nothing: epsilon is +inf.
   PrivacyParams RawGuaranteeAt(size_t rounds, double epsilon0) const;
 
   /// RawGuaranteeAt capped at the trivial (eps0, 0) LDP floor — the
   /// amplification argument never certifies less privacy than no shuffling.
+  /// An eps0 that is not finite and > 0 has no floor: epsilon stays +inf,
+  /// so the query fails closed.
   PrivacyParams GuaranteeAt(size_t rounds, double epsilon0) const;
 
   /// Capped guarantee at the CURRENT executed round (the incremental
@@ -520,8 +509,6 @@ class Session {
     /// (readers yield to an announced writer, so a continuous query load
     /// cannot starve an epoch rollover) lives inside ns::SharedMutex.
     mutable ns::SharedMutex structure;
-    /// Serializes accountant cache access across reader threads.
-    mutable ns::Mutex accountant;
 
     /// The best-effort "this call belongs to the mutator thread" check
     /// (fatal if a mutation is in flight), which also grants the analysis
@@ -557,7 +544,6 @@ class Session {
   double delta_ = 0.5e-6;
   double delta2_ = 0.5e-6;
   uint64_t seed_ = 2022;
-  std::shared_ptr<Accountant> accountant_;
   const FaultModel* faults_ = nullptr;
   bool allow_non_ergodic_ = false;
   bool require_mixed_rounds_ = false;

@@ -2,13 +2,14 @@
 // fraction of a social network colludes with the curator?  (Relaxes the
 // paper's non-collusion assumption, Section 4.5.)  The clean guarantee comes
 // from a validated Session; the collusion-degraded one re-queries the same
-// accountant interface at the inflated collision mass.
+// accountant at the inflated collision mass.
 //
 //   ./examples/collusion_audit [fraction] [epsilon0]
 
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/accountant.h"
 #include "core/session.h"
 #include "data/datasets.h"
 #include "graph/anonymity.h"
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
                       rounds) *
       audit.sum_squares_inflation;
   const double eps_collusion =
-      session.accountant()
+      StationaryBoundAccountant()
           .Certify(FixedMassContext(n, epsilon0, inflated_mass, 0.5e-6,
                                     0.5e-6))
           .epsilon;

@@ -59,8 +59,11 @@ class ReportStore {
  public:
   ReportStore() = default;
 
-  /// Sizes the buffers without initializing contents — the double-buffer
-  /// partner the engine scatters into before swapping.
+  /// Sizes the buffers of the double-buffer partner the engine scatters
+  /// into before swapping.  Entries kept from an earlier size keep their
+  /// values and new ones read zero: on the heap std::vector::resize
+  /// zero-fills them, an O(n) write the scatter then overwrites; a hosted
+  /// column's new file extent reads zero without one.
   void AllocateFor(size_t users, size_t reports) {
     CheckedNarrow32(reports, "ReportStore report count");
     arena_.resize(reports);

@@ -8,7 +8,6 @@
 // monotonicity/consistency checks below fail everywhere.
 
 #include <atomic>
-#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -77,11 +76,9 @@ void ReaderLoop(const Session& session, std::atomic<bool>* stop,
 /// One full serving run: kEpochs rollovers with kRoundsPerEpoch steps each,
 /// readers hammering throughout.  `churn` adds a Rewire per rollover (the
 /// exclusive-writer path readers must survive).
-void ServeUnderReaders(std::shared_ptr<Accountant> accountant, bool churn,
-                       size_t users = kUsers) {
+void ServeUnderReaders(bool churn, size_t users = kUsers) {
   SessionConfig config;
   config.SetGraph(Expander(7, users)).SetEpsilon0(1.0).SetSeed(99);
-  if (accountant != nullptr) config.SetAccountant(std::move(accountant));
   Session session = Session::Create(std::move(config)).value();
 
   std::atomic<bool> stop{false};
@@ -120,23 +117,17 @@ void ServeUnderReaders(std::shared_ptr<Accountant> accountant, bool churn,
 }  // namespace
 
 int main() {
-  // Cache-free accounting: readers contend only on the progress word and
-  // the structure lock.
-  ServeUnderReaders(nullptr, /*churn=*/false);
+  // Readers contend only on the progress word and the structure lock.
+  ServeUnderReaders(/*churn=*/false);
 
-  // Cache-carrying accounting: SymmetricExactAccountant advances a tracked
-  // walk distribution inside Certify — the query-side accountant mutex must
-  // serialize that across readers, and Rewire's cache invalidation must not
-  // tear a concurrent query.
-  ServeUnderReaders(std::make_shared<SymmetricExactAccountant>(),
-                    /*churn=*/false);
-  ServeUnderReaders(std::make_shared<SymmetricExactAccountant>(),
-                    /*churn=*/true);
+  // Churn: each rollover also Rewires, so readers race the exclusive swap
+  // of the graph and spectral state they certify against.
+  ServeUnderReaders(/*churn=*/true);
 
   // Pool-sized epochs: each BeginEpoch's injection runs on four threads
   // while the readers query Guarantee against the epoch it replaces.
   SetThreadCount(4);
-  ServeUnderReaders(nullptr, /*churn=*/false, kPoolUsers);
+  ServeUnderReaders(/*churn=*/false, kPoolUsers);
   SetThreadCount(0);
 
   // Deterministic results are unaffected by concurrent readers: the same

@@ -1,6 +1,7 @@
 // Session API coverage: the typed error taxonomy of Session::Create /
-// Validate, the rounds policy, pluggable accountants and mechanisms, the
-// LDP-floor cap across an eps0 sweep, early stopping, and rewiring.
+// Validate, the rounds policy, pluggable mechanisms, the LDP-floor cap
+// across an eps0 sweep, fail-closed per-query eps0, early stopping, and
+// rewiring.
 
 #include "core/session.h"
 
@@ -8,7 +9,7 @@
 #include <unistd.h>
 
 #include <cmath>
-#include <memory>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -109,7 +110,7 @@ int main() {
     CHECK(Session::Create(std::move(allowed)).ok());
 
     // Payload arena mismatches: wrong report count, out-of-range origin,
-    // duplicated origin (a double eps0 spend the accountants cannot see).
+    // duplicated origin (a double eps0 spend the accountant cannot see).
     {
       PayloadArena short_arena;
       short_arena.Append(0, Bytes{1});
@@ -238,6 +239,24 @@ int main() {
     CHECK(s.Guarantee(1.0).delta == 0.0);
   }
 
+  // ---- A per-query eps0 that is not finite and > 0 fails closed -----------
+  {
+    SessionConfig config;
+    config.SetGraph(SmallExpander(2000, 8));
+    Session s = Session::Create(std::move(config)).value();
+    CHECK(s.Step(20).ok());
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double eps0 : {-1.0, 0.0, std::nan(""), inf}) {
+      // +inf certifies nothing: no negative, zero or NaN claim gets out.
+      CHECK(s.GuaranteeAt(20, eps0).epsilon == inf);
+      CHECK(s.RawGuaranteeAt(20, eps0).epsilon == inf);
+      CHECK(s.Guarantee(eps0).epsilon == inf);
+      CHECK(s.TargetGuarantee(eps0).epsilon == inf);
+    }
+    // A valid eps0 on the same session still amplifies.
+    CHECK(s.GuaranteeAt(20, 1.0).epsilon < 1.0);
+  }
+
   // ---- Pluggable mechanisms ----------------------------------------------
   {
     KRandomizedResponse rr(4, 1.5);
@@ -254,91 +273,6 @@ int main() {
     Session s = Session::Create(std::move(config)).value();
     CHECK_NEAR(s.epsilon0(), 0.75, 1e-12);
     CHECK(std::string(s.mechanism_name()) == "laplace");
-  }
-
-  // ---- Pluggable accountants ---------------------------------------------
-  {
-    Graph g = SmallExpander(1500, 8, 7);
-    const double eps0 = 1.0;
-    const size_t t = 12;
-
-    SessionConfig bound_cfg;
-    bound_cfg.SetGraph(Graph(g)).SetEpsilon0(eps0);
-    Session bound = Session::Create(std::move(bound_cfg)).value();
-    CHECK(std::string(bound.accountant().name()) == "stationary_bound");
-
-    SessionConfig exact_cfg;
-    exact_cfg.SetGraph(Graph(g))
-        .SetEpsilon0(eps0)
-        .SetAccountant(std::make_shared<SymmetricExactAccountant>());
-    Session exact = Session::Create(std::move(exact_cfg)).value();
-    CHECK(std::string(exact.accountant().name()) == "symmetric_exact");
-
-    const double eps_bound = bound.RawGuaranteeAt(t, eps0).epsilon;
-    const double eps_exact = exact.RawGuaranteeAt(t, eps0).epsilon;
-    CHECK(std::isfinite(eps_bound));
-    CHECK(std::isfinite(eps_exact));
-    // Exact tracking never certifies less than the worst-case closed form
-    // (tiny tolerance for fp noise).
-    CHECK(eps_exact <= eps_bound + 1e-9);
-
-    // Ascending-round queries reuse the exact accountant's cached walk (and
-    // past the oscillatory early rounds the certified eps keeps shrinking).
-    CHECK(exact.RawGuaranteeAt(t + 4, eps0).epsilon <= eps_exact * 1.01);
-
-    // One accountant shared across successively created sessions must not
-    // leak walk state between them (the sessions can reuse the same stack
-    // address, defeating a pointer-keyed cache; Create invalidates).
-    Rng share_rng(31);
-    const Graph sparse = MakeRandomRegular(500, 4, &share_rng);
-    const Graph dense = MakeRandomRegular(500, 16, &share_rng);
-    const auto query = [&](const Graph& graph,
-                           std::shared_ptr<Accountant> acct) {
-      SessionConfig c;
-      c.SetGraph(Graph(graph)).SetEpsilon0(1.0).SetAccountant(
-          std::move(acct));
-      Session s = Session::Create(std::move(c)).value();
-      return s.RawGuaranteeAt(8, 1.0).epsilon;
-    };
-    const auto shared = std::make_shared<SymmetricExactAccountant>();
-    (void)query(sparse, shared);  // populate the cache on the sparse graph
-    CHECK_NEAR(query(dense, shared),
-               query(dense, std::make_shared<SymmetricExactAccountant>()),
-               0.0);
-  }
-
-  // ---- Accountant cloning (satellite: copied-config footgun) --------------
-  {
-    // A SessionConfig is copyable; Create must adopt a Clone() of the
-    // configured accountant, so the two sessions below — and the instance
-    // the caller still holds — are three distinct objects.
-    const auto configured = std::make_shared<SymmetricExactAccountant>();
-    SessionConfig base;
-    base.SetGraph(SmallExpander(400, 8, 11))
-        .SetEpsilon0(1.0)
-        .SetAccountant(configured);
-    SessionConfig copy = base;
-    Session s1 = Session::Create(std::move(base)).value();
-    Session s2 = Session::Create(std::move(copy)).value();
-    CHECK(&s1.accountant() != &s2.accountant());
-    CHECK(&s1.accountant() != configured.get());
-    CHECK(&s2.accountant() != configured.get());
-    // The clones answer independently and identically: interleaved queries
-    // on one session never perturb the other's cached walk state.
-    (void)s1.RawGuaranteeAt(12, 1.0);  // advance s1's cache past s2's
-    CHECK_NEAR(s1.RawGuaranteeAt(8, 1.0).epsilon,
-               s2.RawGuaranteeAt(8, 1.0).epsilon, 0.0);
-    // The caller's instance was never mutated by either Create: its first
-    // query builds a fresh cache and agrees too.
-    AccountingContext ctx;
-    ctx.epsilon0 = 1.0;
-    ctx.n = s1.graph().num_nodes();
-    ctx.rounds = 8;
-    ctx.graph = &s1.graph();
-    ctx.spectral_gap = s1.spectral_gap();
-    ctx.stationary_sum_squares = StationarySumSquares(s1.graph());
-    CHECK_NEAR(configured->Certify(ctx).epsilon,
-               s1.RawGuaranteeAt(8, 1.0).epsilon, 0.0);
   }
 
   // ---- Serving lifecycle: ingest -> seal -> exchange -> finalize ----------
@@ -591,24 +525,19 @@ int main() {
     CHECK(strict.Rewire(MakeCirculant(400, 4)).code() ==
           StatusCode::kRoundsBelowMixingFloor);
 
-    // Rewiring invalidates cached walk state: a symmetric-exact session
-    // queried before the swap must afterwards certify exactly what a fresh
-    // session on the final topology does.
+    // A session queried before a rewire must afterwards certify exactly
+    // what a fresh session on the final topology does.
     const auto regular = [](uint64_t seed) {
       Rng r(seed);
       return MakeRandomRegular(400, 8, &r);
     };
-    SessionConfig exact_cfg;
-    exact_cfg.SetGraph(regular(21))
-        .SetEpsilon0(1.0)
-        .SetAccountant(std::make_shared<SymmetricExactAccountant>());
-    Session rewired = Session::Create(std::move(exact_cfg)).value();
-    (void)rewired.RawGuaranteeAt(8, 1.0);  // populate the walk cache
+    SessionConfig rewired_cfg;
+    rewired_cfg.SetGraph(regular(21)).SetEpsilon0(1.0);
+    Session rewired = Session::Create(std::move(rewired_cfg)).value();
+    (void)rewired.RawGuaranteeAt(8, 1.0);
     CHECK(rewired.Rewire(regular(22)).ok());
     SessionConfig fresh_cfg;
-    fresh_cfg.SetGraph(regular(22))
-        .SetEpsilon0(1.0)
-        .SetAccountant(std::make_shared<SymmetricExactAccountant>());
+    fresh_cfg.SetGraph(regular(22)).SetEpsilon0(1.0);
     Session fresh = Session::Create(std::move(fresh_cfg)).value();
     CHECK_NEAR(rewired.RawGuaranteeAt(10, 1.0).epsilon,
                fresh.RawGuaranteeAt(10, 1.0).epsilon, 0.0);
