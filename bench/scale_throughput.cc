@@ -127,9 +127,7 @@ int RunOutOfCore(double scale) {
   // the in-RAM equivalent.
   Graph g = MakeCirculant(n, 4);
 
-  StorageBackendConfig storage;
-  storage.kind = StorageBackendKind::kMmap;
-  auto backend_or = StorageBackend::Create(storage);
+  auto backend_or = StorageBackend::Create(StorageBackendConfig{});
   if (!backend_or.ok()) {
     std::fprintf(stderr, "backend: %s\n",
                  backend_or.status().ToString().c_str());

@@ -79,6 +79,15 @@ Status Session::ValidateWith(const SessionConfig& config,
     }
   }
   if (config.has_payloads()) {
+    if (config.payloads().hosted()) {
+      // Epoch 0 would run on the arena's backend and every later epoch on
+      // the heap; a Session runs on the heap only.
+      return Status::Error(
+          StatusCode::kInvalidArgument,
+          "SetPayloads: the arena is hosted on a storage backend; a Session "
+          "runs on the heap (run out-of-core exchanges with StartExchange / "
+          "ResumeExchange)");
+    }
     // The same invariant BeginEpoch enforces at each per-epoch seal
     // (shuffle/payload.h); the one-shot path is epoch 0 of that lifecycle.
     // Create checks it by injecting the arena into the holdings it adopts.
@@ -123,72 +132,21 @@ Expected<Session> Session::Create(SessionConfig config) {
   SpectralGapEstimate spectral;
   // Epoch 0's exchange state: Validate's payload check injects configured
   // payloads into its holdings, so they are checked and injected once.
-  // Heap payloads that the kMmap case below spills are checked into a
-  // scratch column instead: the spill's seal is their one injection, onto
-  // the backend.
-  const bool spills = config.storage().kind == StorageBackendKind::kMmap &&
-                      !(config.has_payloads() && config.payloads().hosted());
   ExchangeResult state;
-  Status status =
-      ValidateWith(config, &spectral, spills ? nullptr : &state.holdings);
+  const Status status = ValidateWith(config, &spectral, &state.holdings);
   if (!status.ok()) return status;
-  const size_t n = config.graph().num_nodes();
-
-  // Storage resolution (DESIGN.md §9).  Three cases:
-  //   - the configured payloads are already hosted: adopt their backend;
-  //   - kMmap requested: create a backend, then SPILL the configured
-  //     payloads (or a payload-free identity) into a hosted arena, so the
-  //     exchange's columns land on disk regardless of how the reports were
-  //     assembled;
-  //   - default: no backend, pure heap, zero new work.
-  // All directory/file failures surface here as typed kIoError.
-  std::shared_ptr<StorageBackend> backend;
-  if (config.has_payloads() && config.payloads().hosted()) {
-    backend = config.payloads().backend();
-  } else if (spills) {
-    auto created = StorageBackend::Create(config.storage());
-    if (!created.ok()) return created.status();
-    backend = std::move(created).value();
-    auto hosted = PayloadArena::Hosted(backend);
-    if (!hosted.ok()) return hosted.status();
-    PayloadArena arena = std::move(hosted).value();
-    if (config.has_payloads()) {
-      // Report ids are preserved: report r of the spill is report r of the
-      // source, so the hosted session is bit-identical to the heap one.
-      const PayloadArena& src = config.payloads();
-      for (ReportId r = 0; r < static_cast<ReportId>(n); ++r) {
-        const PayloadSpan p = src.payload(r);
-        arena.Append(src.origin(r), p.data(), p.size());
-      }
-    } else {
-      // The identity arena of the payload-free path (origin(r) == r, zero
-      // bytes), streamed instead of heap-built.
-      for (size_t r = 0; r < n; ++r) {
-        arena.Append(static_cast<NodeId>(r), nullptr, 0);
-      }
-    }
-    // The routing columns go on the backend with the arena's.  Map
-    // failures are typed here.
-    Expected<ExchangeResult> sealed = SealExchange(n, &arena);
-    if (!sealed.ok()) return sealed.status();
-    state = std::move(sealed).value();
+  if (config.has_payloads()) {
+    PayloadArena payloads = config.ReleasePayloads();
+    payloads.Freeze();
+    state.payloads = std::make_shared<const PayloadArena>(std::move(payloads));
+  } else {
+    state = StartExchange(config.graph());
   }
-  if (state.payloads == nullptr) {
-    if (config.has_payloads()) {
-      PayloadArena payloads = config.ReleasePayloads();
-      payloads.Freeze();
-      state.payloads =
-          std::make_shared<const PayloadArena>(std::move(payloads));
-    } else {
-      state = StartExchange(config.graph());
-    }
-  }
-  return Session(std::move(config), std::move(backend), spectral,
-                 std::move(state));
+  return Session(std::move(config), spectral, std::move(state));
 }
 
-Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
-                 const SpectralGapEstimate& spectral, ExchangeResult state)
+Session::Session(SessionConfig config, const SpectralGapEstimate& spectral,
+                 ExchangeResult state)
     : graph_(config.ReleaseGraph()),
       protocol_(config.protocol()),
       epsilon0_(config.epsilon0()),
@@ -199,7 +157,6 @@ Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
       faults_(config.faults()),
       allow_non_ergodic_(config.allow_non_ergodic()),
       require_mixed_rounds_(config.require_mixed_rounds()),
-      backend_(std::move(backend)),
       // graph_ is initialized (and config's graph moved out) above, so the
       // cached population reads the adopted member.
       num_users_(graph_.num_nodes()),
@@ -211,19 +168,7 @@ Session::Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
   rounds_fixed_ = config.rounds() > 0;
   target_rounds_ = rounds_fixed_ ? config.rounds() : mixing_rounds_;
   state_ = std::move(state);
-  pending_ = MakePendingArena();
 }
-
-PayloadArena Session::MakePendingArena() const {
-  if (backend_ == nullptr) return PayloadArena();
-  auto hosted = PayloadArena::Hosted(backend_);
-  if (!hosted.ok()) {
-    NETSHUFFLE_FATAL("Session pending arena: " + hosted.status().ToString());
-  }
-  return std::move(hosted).value();
-}
-
-void Session::DiscardPending() { pending_ = MakePendingArena(); }
 
 double Session::Gamma() const {
   ns::ReaderMutexLock structure(&sync_->structure);
@@ -313,23 +258,15 @@ Status Session::Ingest(NodeId origin, const uint8_t* data, size_t size) {
 
 Status Session::BeginEpoch() {
   ns::RoleScope scope(&sync_->mutator, "Session::BeginEpoch");
-  // File-backed sessions create the NEXT epoch's pending stream before
-  // anything is mutated, so a kIoError here (disk gone between epochs)
-  // leaves the session fully consistent: the current epoch keeps serving
-  // and the un-sealed pending arena keeps ingesting.
+  // The next epoch's empty pending arena, built here so nothing allocates
+  // under the exclusive lock.
   PayloadArena next_pending;
-  if (backend_ != nullptr) {
-    auto hosted = PayloadArena::Hosted(backend_);
-    if (!hosted.ok()) return hosted.status();
-    next_pending = std::move(hosted).value();
-  }
   // Seal by injecting, on the pool and outside the exclusive lock: the
   // injection reads only the pending arena and the immutable population,
   // and readers never read the exchange state.  On a short epoch or a
   // duplicate origin this returns the typed kPayloadMismatch and the epoch
   // does NOT roll — the pending arena stays mutable (short epochs keep
-  // ingesting; duplicates DiscardPending).  Hosted arenas surface
-  // column-map failures here as kIoError, likewise without rolling.
+  // ingesting; duplicates DiscardPending).
   Expected<ExchangeResult> sealed =
       SealExchange(num_users_, &pending_, &exchange_ws_);
   if (!sealed.ok()) return sealed.status();

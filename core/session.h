@@ -50,7 +50,6 @@
 #include "dp/mechanism.h"
 #include "graph/graph.h"
 #include "graph/spectral.h"
-#include "shuffle/backend.h"
 #include "shuffle/engine.h"
 #include "shuffle/payload.h"
 #include "shuffle/protocol.h"
@@ -103,22 +102,13 @@ class SessionConfig {
   /// (typically emitted via Mechanism::EmitReport into the arena).  The
   /// session freezes and adopts the arena at Create; Validate rejects a
   /// report count != the graph's user count or an out-of-range origin with
-  /// kPayloadMismatch.  Without this, the session runs over an identity
-  /// arena (origin(r) == r, zero payload bytes) — a routing-only exchange.
+  /// kPayloadMismatch, and a hosted (file-backed) arena with
+  /// kInvalidArgument: a Session runs on the heap, and out-of-core exchanges
+  /// go through the engine (StartExchange / ResumeExchange, DESIGN.md §9).
+  /// Without this, the session runs over an identity arena (origin(r) == r,
+  /// zero payload bytes) — a routing-only exchange.
   SessionConfig& SetPayloads(PayloadArena payloads) {
     payloads_ = std::move(payloads);
-    return *this;
-  }
-
-  /// Where the session's columnar state lives (DESIGN.md §9).  The default
-  /// kInRam is today's heap behavior at zero cost.  kMmap puts the payload
-  /// columns and the double-buffered routing columns in mmap'd files under
-  /// a private tmpdir (removed when the session — and anything sharing its
-  /// arenas, e.g. a ProtocolResult — is destroyed), so n = 10^7-10^8
-  /// exchanges run in a RAM budget sized for the graph and scratch, not the
-  /// population.  Create surfaces directory/file failures as kIoError.
-  SessionConfig& SetStorage(StorageBackendConfig storage) {
-    storage_ = std::move(storage);
     return *this;
   }
 
@@ -184,13 +174,11 @@ class SessionConfig {
   const FaultModel* faults() const { return faults_; }
   bool allow_non_ergodic() const { return allow_non_ergodic_; }
   bool require_mixed_rounds() const { return require_mixed_rounds_; }
-  const StorageBackendConfig& storage() const { return storage_; }
   size_t shards() const { return shards_; }
 
  private:
   Graph graph_;
   std::optional<PayloadArena> payloads_;
-  StorageBackendConfig storage_;
   ReportingProtocol protocol_ = ReportingProtocol::kAll;
   size_t rounds_ = 0;
   size_t shards_ = 1;
@@ -329,12 +317,6 @@ class Session {
     sync_->AssertQuiescent("Session::exchange");
     return state_;
   }
-  /// The session's storage backend, or nullptr for the in-RAM default.
-  /// Benches read its StorageIoStats for bytes-moved/user and read-
-  /// amplification reporting; dir() names the tmpdir holding the column
-  /// files (removed when the last owner — session, in-flight results —
-  /// goes away).
-  const StorageBackend* storage_backend() const { return backend_.get(); }
   double epsilon0() const { return epsilon0_; }
   const std::string& mechanism_name() const { return mechanism_name_; }
   ReportingProtocol protocol() const { return protocol_; }
@@ -400,9 +382,8 @@ class Session {
   /// Reports ingested toward the next epoch so far.
   size_t pending_reports() const { return pending_.num_reports(); }
   /// Drops all pending ingest (e.g. after a duplicate-origin seal failure,
-  /// which appends cannot repair) and starts the next epoch's arena empty
-  /// (file-backed on the session's backend when one is configured).
-  void DiscardPending();
+  /// which appends cannot repair) and starts the next epoch's arena empty.
+  void DiscardPending() { pending_ = PayloadArena(); }
 
   /// Seals the pending arena (one report per user — typed kPayloadMismatch
   /// otherwise, leaving the arena mutable so a short epoch can keep
@@ -471,8 +452,8 @@ class Session {
   }
 
  private:
-  Session(SessionConfig config, std::shared_ptr<StorageBackend> backend,
-          const SpectralGapEstimate& spectral, ExchangeResult state);
+  Session(SessionConfig config, const SpectralGapEstimate& spectral,
+          ExchangeResult state);
 
   /// Validate's checks.  With `estimate` non-null the spectral estimate
   /// always runs, once, and lands there for the caller to adopt (Create,
@@ -484,12 +465,6 @@ class Session {
   static Status ValidateWith(const SessionConfig& config,
                              SpectralGapEstimate* estimate,
                              ReportStore* holdings);
-
-  /// A fresh pending arena: heap, or hosted on the session's backend.
-  /// Stream-file creation on an established backend failing (disk gone
-  /// mid-serve) is fatal here; the typed creation-time surface is Create /
-  /// BeginEpoch.
-  PayloadArena MakePendingArena() const;
 
   // Reader-publication state, shared between the mutator thread and
   // accounting readers; behind a unique_ptr so Session stays movable
@@ -547,12 +522,6 @@ class Session {
   const FaultModel* faults_ = nullptr;
   bool allow_non_ergodic_ = false;
   bool require_mixed_rounds_ = false;
-
-  /// Non-null iff the session's columns are file-backed (DESIGN.md §9).
-  /// Shared with every hosted arena/store, so the tmpdir outlives any
-  /// result still referencing the column files and is removed with the
-  /// last reference.
-  std::shared_ptr<StorageBackend> backend_;
 
   /// graph_.num_nodes(), cached at Create: the population is immutable for
   /// the session's life (Rewire requires a same-size replacement), so

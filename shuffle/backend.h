@@ -60,10 +60,6 @@ enum class StorageBackendKind {
   kMmap,
 };
 
-inline const char* StorageBackendKindName(StorageBackendKind kind) {
-  return kind == StorageBackendKind::kMmap ? "mmap" : "ram";
-}
-
 /// Parses a backend name: nullptr / "" / "ram" -> kInRam, "mmap" -> kMmap.
 /// Anything else warns on stderr and falls back to kInRam, in the spirit of
 /// the NS_THREADS/NS_SCALE knob parsers.
@@ -75,10 +71,10 @@ inline StorageBackendKind EnvBackendKind() {
 }
 
 struct StorageBackendConfig {
-  StorageBackendKind kind = StorageBackendKind::kInRam;
   /// Parent directory for the backend's private tmpdir ("" = $TMPDIR or
   /// /tmp).  The tmpdir and everything in it are removed when the last
-  /// owner releases the backend (Session destruction, for sessions).
+  /// owner releases the backend: the caller's handle, or the last hosted
+  /// arena, store or result that shares it.
   std::string dir;
   /// Accounting granularity for the per-block touch counters (bytes).
   size_t block_bytes = 2u << 20;
@@ -158,10 +154,10 @@ class MappedFile {
 };
 
 /// The backend object: owns the tmpdir, names column files, and aggregates
-/// the per-block touch accounting.  Shared (shared_ptr) between the Session
+/// the per-block touch accounting.  Shared (shared_ptr) between its creator
 /// and every column it hosts; the LAST release removes the tmpdir and
 /// everything left in it, so backend-hosted state never outlives its owner
-/// (tests/test_backend.cc pins cleanup on Session destruction).
+/// (tests/test_backend.cc pins cleanup after a hosted exchange's result).
 ///
 /// Thread-safety: accounting mutators take an internal mutex (they run on
 /// the engine's coordinating thread and in benches — never inside the hop
@@ -169,9 +165,8 @@ class MappedFile {
 class StorageBackend {
  public:
   /// Creates the private tmpdir (mkdtemp under config.dir, $TMPDIR, or
-  /// /tmp).  kIoError if the directory cannot be created.  config.kind is
-  /// recorded but not consulted here — callers choose whether to build a
-  /// backend at all (kInRam configurations never construct one).
+  /// /tmp).  kIoError if the directory cannot be created.  Callers choose
+  /// whether to build a backend at all (kInRam runs never construct one).
   static Expected<std::shared_ptr<StorageBackend>> Create(
       StorageBackendConfig config);
 

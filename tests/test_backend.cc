@@ -14,10 +14,11 @@
 //     read amplification, DONTNEED drop volume),
 //   - the write-once contract on a file-backed PayloadArena (append after
 //     Seal dies, same as the heap arena),
-//   - tmpdir lifetime: a kMmap session's directory outlives the Session
-//     while a Finalize result still references the hosted columns, and is
-//     swept — files and all — when the LAST owner goes away,
-//   - epoch rolls on a kMmap session serve the heap session's inboxes.
+//   - tmpdir lifetime: a backend's directory outlives its creator's handle
+//     while a hosted exchange's result still references the column files,
+//     and is swept — files and all — when the LAST owner goes away,
+//   - a Session rejects a hosted arena with kInvalidArgument: out-of-core
+//     exchanges run through the engine (StartExchange / ResumeExchange).
 
 #include <sys/stat.h>
 
@@ -26,12 +27,12 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/session.h"
 #include "core/status.h"
 #include "graph/generators.h"
 #include "shuffle/backend.h"
+#include "shuffle/engine.h"
 #include "shuffle/payload.h"
 #include "tests/test_util.h"
 
@@ -72,10 +73,6 @@ int main() {
   CHECK(BackendWith("mmap") == StorageBackendKind::kMmap);
   CHECK(BackendWith("junk") == StorageBackendKind::kInRam);
   unsetenv("NS_BACKEND");
-  CHECK(std::string(StorageBackendKindName(StorageBackendKind::kMmap)) ==
-        "mmap");
-  CHECK(std::string(StorageBackendKindName(StorageBackendKind::kInRam)) ==
-        "ram");
 
   // ---- Uncreatable backend dir is a typed error ----------------------------
   // (A nonexistent parent, not a chmod'd one: the suite also runs as root,
@@ -238,91 +235,52 @@ int main() {
     CHECK(incomplete.Seal(2).ok());
   }
 
-  // ---- Session storage: typed create failure, tmpdir lifetime --------------
+  // ---- tmpdir lifetime of a hosted exchange; Session rejects hosting --------
   {
-    SessionConfig bad;
-    bad.SetGraph(MakeCirculant(64, 4));
-    StorageBackendConfig storage;
-    storage.kind = StorageBackendKind::kMmap;
-    storage.dir = "/netshuffle_no_such_parent_dir";
-    bad.SetStorage(storage);
-    const auto session = Session::Create(std::move(bad));
-    CHECK(!session.ok());
-    CHECK(session.status().code() == StatusCode::kIoError);
-  }
-  {
+    const Graph g = MakeCirculant(64, 4);
     std::string dir;
     {
       ProtocolResult result;
       {
-        SessionConfig cfg;
-        cfg.SetGraph(MakeCirculant(64, 4));
-        StorageBackendConfig storage;
-        storage.kind = StorageBackendKind::kMmap;
-        cfg.SetStorage(storage);
-        auto built = Session::Create(std::move(cfg));
-        CHECK(built.ok());
-        Session session = std::move(built).value();
-        CHECK(session.storage_backend() != nullptr);
-        dir = session.storage_backend()->dir();
+        auto created = StorageBackend::Create(StorageBackendConfig{});
+        CHECK(created.ok());
+        std::shared_ptr<StorageBackend> owner = std::move(created).value();
+        dir = owner->dir();
+        auto hosted = PayloadArena::Hosted(owner);
+        CHECK(hosted.ok());
+        PayloadArena arena = std::move(hosted).value();
+        for (NodeId u = 0; u < 64; ++u) {
+          arena.Append(u, Bytes{static_cast<uint8_t>(u)});
+        }
+        // The creator's handle goes first: the arena keeps the backend.
+        owner.reset();
         CHECK(DirExists(dir));
-        CHECK(session.payloads().hosted());
-        CHECK(session.Step(3).ok());
-        result = session.Finalize();
+
+        // A Session runs on the heap only: a hosted arena is a typed
+        // configuration error, at Validate and at Create alike.
+        SessionConfig cfg;
+        cfg.SetGraph(g).SetPayloads(arena);
+        CHECK(Session::Validate(cfg).code() == StatusCode::kInvalidArgument);
+        const auto session = Session::Create(std::move(cfg));
+        CHECK(!session.ok());
+        CHECK(session.status().code() == StatusCode::kInvalidArgument);
+
+        ExchangeResult state = StartExchange(g, std::move(arena));
+        ExchangeOptions opts;
+        opts.rounds = 3;
+        opts.seed = 7;
+        state = ResumeExchange(g, std::move(state), opts);
+        CHECK(state.payloads->hosted());
+        result = FinalizeProtocol(state, ReportingProtocol::kAll, 7);
       }
-      // The Session is gone, but the result still references the hosted
-      // columns: the tmpdir must survive until the result does.
+      // The exchange state is gone, but the result still references the
+      // hosted columns: the tmpdir must survive until the result does.
       CHECK(DirExists(dir));
       CHECK(result.payloads->num_reports() == 64);
+      CHECK(result.server_inbox.size() == 64);
     }
     // Last owner released: directory swept, column files and all.
     CHECK(!DirExists(dir));
-  }
-
-  // ---- Epoch rolls on the file tier ---------------------------------------
-  // BeginEpoch seals each epoch into the workspace's partner store, hosted
-  // on the session's backend, and recycles the retired holdings there: a
-  // kMmap session rolling epochs (a short seal rejected on the way) serves
-  // the same inboxes as the heap session.
-  {
-    const auto serve = [](StorageBackendKind kind) {
-      SessionConfig cfg;
-      cfg.SetGraph(MakeCirculant(64, 4)).SetSeed(3);
-      StorageBackendConfig storage;
-      storage.kind = kind;
-      cfg.SetStorage(storage);
-      Session session = Session::Create(std::move(cfg)).value();
-      std::vector<ProtocolResult> inboxes;
-      for (uint8_t epoch = 1; epoch <= 3; ++epoch) {
-        CHECK(session.Step(2).ok());
-        inboxes.push_back(session.FinalizeEpoch());
-        for (NodeId u = 0; u < 63; ++u) {
-          CHECK(session.Ingest(u, Bytes{epoch, static_cast<uint8_t>(u)}).ok());
-        }
-        CHECK(session.BeginEpoch().code() == StatusCode::kPayloadMismatch);
-        CHECK(session.Ingest(63, Bytes{epoch, 63}).ok());
-        CHECK(session.BeginEpoch().ok());
-        CHECK(session.payloads().hosted() ==
-              (kind == StorageBackendKind::kMmap));
-      }
-      CHECK(session.Step(2).ok());
-      inboxes.push_back(session.FinalizeEpoch());
-      return inboxes;
-    };
-    const std::vector<ProtocolResult> heap = serve(StorageBackendKind::kInRam);
-    const std::vector<ProtocolResult> file = serve(StorageBackendKind::kMmap);
-    CHECK(heap.size() == file.size());
-    for (size_t e = 0; e < heap.size(); ++e) {
-      CHECK(heap[e].server_inbox.size() == file[e].server_inbox.size());
-      for (size_t i = 0; i < heap[e].server_inbox.size(); ++i) {
-        const FinalReport& a = heap[e].server_inbox[i];
-        const FinalReport& b = file[e].server_inbox[i];
-        CHECK(a.id == b.id && a.origin == b.origin &&
-              a.final_holder == b.final_holder);
-        CHECK(heap[e].payloads->payload(a.id).ToBytes() ==
-              file[e].payloads->payload(b.id).ToBytes());
-      }
-    }
   }
 
   // The unit-test backend itself sweeps its tmpdir (with the leftover

@@ -112,15 +112,22 @@ int main() {
   Graph missing;
   CHECK(!LoadEdgeList("does_not_exist.edges", &missing));
 
-  // Untrusted headers fail closed instead of aborting the process: an edge
-  // count the file cannot hold used to reach reserve() (std::bad_alloc),
-  // and a node count beyond the NodeId range reached the CSR offsets.
+  // Untrusted files fail closed instead of aborting the process or loading
+  // a different graph: an edge count the file cannot hold used to reach
+  // reserve() (std::bad_alloc), a node count beyond the NodeId range
+  // reached the CSR offsets, and an id past 2^32 (or a signed one) wrapped
+  // into range, so both edge lines below loaded as edge (1, 2); signed
+  // header counts wrapped the same way, to n = 3 and m = 2.
   const char* bad_header = "test_graph_bad_header.edges";
   const char* bad_headers[] = {
       "# netshuffle-edgelist 5 99999999999999999\n0 1\n",
       "# netshuffle-edgelist 99999999999999 1\n0 1\n",
       "# netshuffle-edgelist 4294967296 1\n0 1\n",
       "# netshuffle-edgelist 5 3\n0 1\n",
+      "# netshuffle-edgelist 3 2\n0 1\n4294967297 2\n",
+      "# netshuffle-edgelist 3 2\n0 1\n-4294967295 2\n",
+      "# netshuffle-edgelist -18446744073709551613 2\n0 1\n1 2\n",
+      "# netshuffle-edgelist 3 -18446744073709551614\n0 1\n1 2\n",
   };
   for (const char* text : bad_headers) {
     WriteFile(bad_header, text);

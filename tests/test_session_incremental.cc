@@ -37,10 +37,6 @@ namespace {
 // the pool's round barriers order the workers' adds before the read.
 std::atomic<bool> g_count_allocs{false};
 std::atomic<size_t> g_alloc_bytes{0};
-// Allocations of exactly g_probe_bytes, counted whether or not the total
-// above is armed (0 probes nothing).
-std::atomic<size_t> g_probe_bytes{0};
-std::atomic<size_t> g_probe_hits{0};
 
 }  // namespace
 
@@ -50,9 +46,6 @@ std::atomic<size_t> g_probe_hits{0};
 __attribute__((noinline)) void* operator new(std::size_t size) {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  }
-  if (size == g_probe_bytes.load(std::memory_order_relaxed)) {
-    g_probe_hits.fetch_add(1, std::memory_order_relaxed);
   }
   void* p = std::malloc(size);
   if (p == nullptr) std::abort();
@@ -246,39 +239,6 @@ void CheckSteadyStateRollAllocationFree(size_t threads) {
   CHECK(session.epoch() == 2);
 }
 
-// Create on the file tier keeps the population's routing state off the
-// heap (DESIGN.md §9) when the configured payloads are on the heap: it
-// checks them into a scratch column and injects them once, onto the backend.
-// A heap ReportStore would allocate its (n + 1)-entry offsets column, a
-// size nothing else in Create allocates; the heap session shows the probe
-// sees one.
-void CheckFileTierCreateKeepsRoutingOffHeap() {
-  const size_t n = 3001;
-  for (const StorageBackendKind kind :
-       {StorageBackendKind::kInRam, StorageBackendKind::kMmap}) {
-    Rng rng(79);
-    SessionConfig config;
-    config.SetGraph(MakeRandomRegular(n, 4, &rng)).SetRounds(8).SetSeed(3);
-    PayloadArena payloads;
-    for (size_t u = 0; u < n; ++u) {
-      payloads.AppendBucket(static_cast<NodeId>(u),
-                            static_cast<uint32_t>(u % 8));
-    }
-    config.SetPayloads(std::move(payloads));
-    StorageBackendConfig storage;
-    storage.kind = kind;
-    config.SetStorage(storage);
-    g_probe_hits.store(0);
-    g_probe_bytes.store((n + 1) * sizeof(uint32_t));
-    Expected<Session> created = Session::Create(std::move(config));
-    g_probe_bytes.store(0);
-    CHECK(created.ok());
-    const bool file_tier = kind == StorageBackendKind::kMmap;
-    CHECK(created.value().payloads().hosted() == file_tier);
-    CHECK((g_probe_hits.load() == 0) == file_tier);
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -287,7 +247,6 @@ int main() {
     CheckSteadyStateStepsAllocationFree(threads);
     CheckSteadyStateRollAllocationFree(threads);
   }
-  CheckFileTierCreateKeepsRoutingOffHeap();
 
   // The thread count must not change a single bit of any of this (the CI
   // matrix additionally runs the whole suite under NS_THREADS=1 and 4).
